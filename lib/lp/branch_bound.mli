@@ -9,15 +9,19 @@
 
     Only binary integer variables are supported (all programs in this code
     base are of that shape): branching fixes a variable to 0 or to 1 and the
-    child LP shrinks accordingly. *)
+    child LP shrinks accordingly.  Objectives are non-negative (see
+    {!Simplex}), so no relaxation is ever unbounded. *)
+
+type status =
+  | Optimal  (** Proved optimal. *)
+  | Feasible  (** A limit was hit; [objective] is the incumbent's value. *)
+  | Infeasible
+  | Limit_no_solution  (** A limit was hit before any incumbent was found. *)
+(** Shared by every field instantiation, so results convert between fields
+    without a status translation. *)
 
 module Make (F : Numeric.Field.S) : sig
-  type status =
-    | Optimal  (** Proved optimal. *)
-    | Feasible  (** A limit was hit; [objective] is the incumbent's value. *)
-    | Infeasible
-    | Unbounded
-    | Limit_no_solution  (** A limit was hit before any incumbent was found. *)
+  type nonrec status = status = Optimal | Feasible | Infeasible | Limit_no_solution
 
   type result = {
     status : status;
@@ -31,16 +35,9 @@ module Make (F : Numeric.Field.S) : sig
     pivots : int;
         (** Simplex pivots spent on this solve, attributed through the warm
             session's lifetime totals (parallel solves include the
-            per-domain engines).  0 on the model path of {!solve}, which has
-            no warm session to meter. *)
+            per-domain engines). *)
     refactors : int;  (** Basis refactorisations, attributed like [pivots]. *)
   }
-
-  val solve :
-    ?node_limit:int -> ?time_limit:float -> ?fixed:(Model.var * int) list -> Model.t -> result
-  (** [time_limit] is wall-clock seconds (emulates the paper's ILP(10)
-      cutoff). @raise Invalid_argument if an integer variable lacks an
-      upper bound of 1. *)
 
   (** {1 Frozen sessions}
 
@@ -61,11 +58,14 @@ module Make (F : Numeric.Field.S) : sig
   val solve_session :
     ?node_limit:int -> ?time_limit:float -> ?delta:Frozen.Delta.t -> session -> result
   (** Branch-and-bound under the delta (the "base" fixes every node of this
-      tree respects).  Same contract as {!solve}.  A delta carrying
+      tree respects).  [time_limit] is wall-clock seconds (emulates the
+      paper's ILP(10) cutoff).  A delta carrying
       row/column appends solves the extended program — the warm LP session
       absorbs the appends (see {!Simplex.session_solve}) and [solution] is
       indexed by extended variable; appended integer columns must be
-      binary-compatible (upper bound 1 or none). *)
+      binary-compatible (upper bound 1 or none).
+      @raise Invalid_argument if an integer variable has an upper bound
+      other than 1. *)
 
   val solve_session_par :
     ?node_limit:int ->
@@ -90,11 +90,11 @@ module Make (F : Numeric.Field.S) : sig
       [par_depth = 0] this {e is} [solve_session], bit for bit. *)
 
   val relax :
-    ?delta:Frozen.Delta.t ->
-    session ->
-    [ `Optimal of F.t * F.t array | `Infeasible | `Unbounded ]
+    ?delta:Frozen.Delta.t -> session -> [ `Optimal of F.t * F.t array * bool | `Infeasible ]
   (** Just the LP relaxation under the delta (one warm-started simplex
-      solve; integrality flags ignored). *)
+      solve).  The flag says whether the optimum is integral on every
+      integer variable, tested in the field — such an optimum {e is} the
+      ILP optimum. *)
 
   val solve_frozen :
     ?node_limit:int -> ?time_limit:float -> ?delta:Frozen.Delta.t -> Frozen.t -> result

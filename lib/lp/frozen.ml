@@ -38,6 +38,7 @@ module Delta = struct
     (match upper with
     | Some u when u < 0 -> invalid_arg "Frozen.Delta.append_col: negative upper bound"
     | _ -> ());
+    if obj < 0 then invalid_arg "Frozen.Delta.append_col: negative objective coefficient";
     { d with rcols = (name, integer, upper, obj) :: d.rcols; ncols = d.ncols + 1 }
 
   let append_row sense rhs expr d =
@@ -154,6 +155,7 @@ let make ~names ~integer ~upper ~obj ~rows =
   let nvars = Array.length names in
   if Array.length integer <> nvars || Array.length upper <> nvars || Array.length obj <> nvars
   then invalid_arg "Frozen.make: per-variable array length mismatch";
+  if Array.exists (fun c -> c < 0) obj then invalid_arg "Frozen.make: negative objective coefficient";
   let nrows = Array.length rows in
   let nnz = Array.fold_left (fun acc (_, _, expr) -> acc + List.length expr) 0 rows in
   let t =

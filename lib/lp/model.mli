@@ -8,6 +8,8 @@
     Conventions:
     - the objective is always {e minimized};
     - every variable is constrained to be non-negative;
+    - every objective weight is non-negative (so the LP relaxation is never
+      unbounded and the all-slack basis is dual feasible);
     - a variable may carry an optional integer upper bound;
     - a variable flagged [integer] is required to take integer values by the
       branch-and-bound solver ({!Branch_bound}); all integer variables in this
@@ -33,7 +35,8 @@ val add_var : ?name:string -> ?integer:bool -> ?upper:int -> ?obj:int -> t -> va
     [obj] (objective weight) to [0], [upper] to unbounded.
 
     @raise Invalid_argument if [upper] is negative (the implicit lower bound
-    is 0, so the variable would have an empty domain), or if [integer] is set
+    is 0, so the variable would have an empty domain), if [obj] is negative
+    (the solvers minimise non-negative weights only), or if [integer] is set
     without an [upper] bound — {!Branch_bound} branches integer variables
     between bounds, so an unbounded integer variable would only fail later
     and deeper; the error is raised at model-build time instead. *)

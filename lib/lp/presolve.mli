@@ -48,7 +48,9 @@ type summary = {
 
 type result =
   | Infeasible  (** Proven infeasible without solving. *)
-  | Unbounded  (** A negative-cost variable with no bound and no row. *)
+  | Unbounded
+      (** A negative-cost variable with no bound and no row — unreachable
+          on programs the builders accept, whose costs are non-negative. *)
   | Reduced of Frozen.t * vmap
 
 val presolve : ?strip_bounds:bool -> Frozen.t -> result

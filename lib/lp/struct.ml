@@ -404,8 +404,8 @@ let fractional_on ~eps x vars =
 let probe_root_lp ?delta ~eps fz =
   let session = Solvers.Float_bb.create_session fz in
   match Solvers.Float_bb.relax ?delta session with
-  | `Optimal (obj, x) -> Some (obj, x, List.length (fractional_on ~eps x (Frozen.integer_vars fz)))
-  | `Infeasible | `Unbounded -> None
+  | `Optimal (obj, x, _) -> Some (obj, x, List.length (fractional_on ~eps x (Frozen.integer_vars fz)))
+  | `Infeasible -> None
 
 (* --- Verification ------------------------------------------------------------ *)
 

@@ -149,27 +149,13 @@ let view_side_effects ?(exact = false) ?node_limit ?time_limit _semantics q ~hea
               Lp.Model.Geq
               (1 - k))
           rows;
-        let solve =
-          if exact then fun () ->
-            let open Lp.Solvers.Exact_bb in
-            match solve ?node_limit ?time_limit model with
-            | { status = Optimal; solution = Some sol; _ } ->
-              `Ok (Array.map Numeric.Rat.to_float sol)
-            | { status = Infeasible; _ } -> `Infeasible
-            | { objective = Some _; _ } -> `Budget
-            | _ -> `Budget
-          else fun () ->
-            let open Lp.Solvers.Float_bb in
-            match solve ?node_limit ?time_limit model with
-            | { status = Optimal; solution = Some sol; _ } -> `Ok sol
-            | { status = Infeasible; _ } -> `Infeasible
-            | { objective = Some _; _ } -> `Budget
-            | _ -> `Budget
-        in
-        match solve () with
+        match
+          Session.solve_model ?node_limit ?time_limit ~op:"view_side_effects" ~exact
+            ~presolve:true ~kernel:`Auto ~since:(Lp.Clock.now ()) model
+        with
         | `Infeasible -> Solve.No_contingency
-        | `Budget -> Solve.Budget_exhausted None
-        | `Ok sol ->
+        | `Budget _ -> Solve.Budget_exhausted None
+        | `Ok (_, sol, _) ->
           let gamma =
             Hashtbl.fold
               (fun tid v acc -> if sol.(v) > 0.5 then tid :: acc else acc)

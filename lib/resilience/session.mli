@@ -223,17 +223,21 @@ val profile : t -> profile
     Accounting happens on the submitting domain only, so it is safe to call
     between (not during) {!ranking_par} batches. *)
 
-val runlog_solve_fields :
+val solve_model :
+  ?node_limit:int ->
+  ?time_limit:float ->
   op:string ->
-  status:string ->
-  path:string ->
-  cert:Lp.Struct.t ->
-  ?stats:stats ->
-  wall:float ->
-  unit ->
-  (string * Obs.Runlog.field) list
-(** One {!Obs.Runlog} record for a solve: the program's [Lp.Struct]
-    feature vector plus dispatch path ([certified]/[bb]/[relax]) and
-    outcome.  The schema every solve site (the session engine and
-    [Solve.run_bb]) appends under the run-log's versioned header; exposed
-    so they stay identical. *)
+  exact:bool ->
+  presolve:bool ->
+  kernel:Lp.Basis.choice ->
+  since:float ->
+  Lp.Model.t ->
+  [ `Ok of float * float array * stats | `Infeasible | `Budget of float option ]
+(** One cold solve of a model through the session engine: freeze,
+    (optionally) presolve, structural analysis, then certificate-aware
+    dispatch and branch-and-bound on a fresh engine under the empty delta.
+    Returns the objective and the solution lifted back to the model's
+    variables, or the incumbent value when a budget stopped the search.
+    [prep_time] in the stats runs from [since] (an {!Lp.Clock.now} reading)
+    to the start of the solve, so callers fold their own encoding into it.
+    Every outcome appends one {!Obs.Runlog} record tagged [op]. *)

@@ -1,6 +1,6 @@
-(* Tests for the LP/ILP solver stack: model building, primal and dual
-   simplex (differential against each other and against the exact rational
-   instantiation), and branch-and-bound. *)
+(* Tests for the LP/ILP solver stack: model building, the dual simplex
+   session engine (differential between its basis kernels and against the
+   exact rational instantiation), and branch-and-bound. *)
 
 module M = Lp.Model
 module FS = Lp.Solvers.Float_simplex
@@ -8,9 +8,9 @@ module ES = Lp.Solvers.Exact_simplex
 module FB = Lp.Solvers.Float_bb
 module EB = Lp.Solvers.Exact_bb
 
-let objective_of = function FS.Optimal { objective; _ } -> Some objective | _ -> None
-
-let solution_of = function FS.Optimal { solution; _ } -> Some solution | _ -> None
+let frz = Lp.Frozen.of_model
+let objective_of = function FS.Optimal { objective; _ } -> Some objective | FS.Infeasible -> None
+let solution_of = function FS.Optimal { solution; _ } -> Some solution | FS.Infeasible -> None
 
 (* --- Model --------------------------------------------------------------- *)
 
@@ -54,18 +54,18 @@ let mk_lp () =
 let test_simplex_known () =
   let m, x, y = mk_lp () in
   List.iter
-    (fun meth ->
-      match FS.solve ~method_:meth m with
+    (fun kernel ->
+      match FS.solve_frozen ~kernel (frz m) with
       | FS.Optimal { objective; solution } ->
         Alcotest.(check (float 1e-6)) "objective" 9.0 objective;
         Alcotest.(check (float 1e-6)) "x" 3.0 solution.(x);
         Alcotest.(check (float 1e-6)) "y" 1.0 solution.(y)
-      | FS.Infeasible | FS.Unbounded -> Alcotest.fail "expected optimal")
-    [ `Primal; `Dual; `Auto ]
+      | FS.Infeasible -> Alcotest.fail "expected optimal")
+    [ `Dense; `Sparse ]
 
 let test_simplex_exact_known () =
   let m, _, _ = mk_lp () in
-  match ES.solve m with
+  match ES.solve_frozen (frz m) with
   | ES.Optimal { objective; _ } ->
     Alcotest.(check bool) "exact 9" true (Numeric.Rat.equal objective (Numeric.Rat.of_int 9))
   | _ -> Alcotest.fail "expected optimal"
@@ -74,30 +74,32 @@ let test_simplex_infeasible () =
   let m = M.create () in
   let x = M.add_var ~upper:1 m in
   M.add_constr m [ (x, 1) ] M.Geq 2;
-  (match FS.solve ~method_:`Primal m with
+  match FS.solve_frozen (frz m) with
   | FS.Infeasible -> ()
-  | _ -> Alcotest.fail "primal should be infeasible");
-  match FS.solve ~method_:`Auto m with
-  | FS.Infeasible -> ()
-  | _ -> Alcotest.fail "dual should be infeasible"
+  | FS.Optimal _ -> Alcotest.fail "expected infeasible"
 
-let test_simplex_unbounded () =
-  (* min -x (negative cost forces the primal path), x unconstrained above *)
-  let m = M.create () in
-  let x = M.add_var ~obj:(-1) m in
-  M.add_constr m [ (x, 1) ] M.Geq 0;
-  match FS.solve m with
-  | FS.Unbounded -> ()
-  | _ -> Alcotest.fail "expected unbounded"
+let test_rejects_negative_objective () =
+  (* Every builder refuses a negative cost, so no LP is ever unbounded. *)
+  Alcotest.check_raises "Model.add_var"
+    (Invalid_argument "Model.add_var: negative objective coefficient") (fun () ->
+      ignore (M.add_var ~obj:(-1) (M.create ())));
+  Alcotest.check_raises "Frozen.make" (Invalid_argument "Frozen.make: negative objective coefficient")
+    (fun () ->
+      ignore
+        (Lp.Frozen.make ~names:[| "x" |] ~integer:[| false |] ~upper:[| None |] ~obj:[| -1 |]
+           ~rows:[||]));
+  Alcotest.check_raises "Delta.append_col"
+    (Invalid_argument "Frozen.Delta.append_col: negative objective coefficient") (fun () ->
+      ignore (Lp.Frozen.Delta.append_col ~name:"x" ~obj:(-1) Lp.Frozen.Delta.empty))
 
 let test_simplex_degenerate_equalities () =
-  (* equality rows force the primal path *)
+  (* equality rows: their slacks are fixed to [0, 0] *)
   let m = M.create () in
   let x = M.add_var ~obj:1 m in
   let y = M.add_var ~obj:1 m in
   M.add_constr m [ (x, 1); (y, 1) ] M.Eq 3;
   M.add_constr m [ (x, 1); (y, -1) ] M.Eq 1;
-  match FS.solve m with
+  match FS.solve_frozen (frz m) with
   | FS.Optimal { objective; solution } ->
     Alcotest.(check (float 1e-6)) "objective" 3.0 objective;
     Alcotest.(check (float 1e-6)) "x" 2.0 solution.(x);
@@ -106,16 +108,15 @@ let test_simplex_degenerate_equalities () =
 
 let test_simplex_fixed () =
   let m, x, y = mk_lp () in
-  (match FS.solve ~fixed:[ (x, 4) ] m with
+  (match FS.solve_frozen ~delta:(Lp.Frozen.Delta.fix x 4 Lp.Frozen.Delta.empty) (frz m) with
   | FS.Optimal { objective; solution } ->
     Alcotest.(check (float 1e-6)) "x pinned" 4.0 solution.(x);
     (* with x=4: y >= 0, y >= 2 from x - y <= 2, obj = 8 + 3*2 = 14 *)
     Alcotest.(check (float 1e-6)) "y" 2.0 solution.(y);
     Alcotest.(check (float 1e-6)) "objective" 14.0 objective
   | _ -> Alcotest.fail "expected optimal");
-  match FS.solve ~fixed:[ (x, -1) ] m with
-  | FS.Infeasible -> ()
-  | _ -> Alcotest.fail "negative fix must be infeasible"
+  Alcotest.check_raises "negative fix" (Invalid_argument "Frozen.Delta.fix: negative value")
+    (fun () -> ignore (Lp.Frozen.Delta.fix x (-1) Lp.Frozen.Delta.empty))
 
 let test_fractional_covering () =
   (* the triangle vertex-cover LP has optimum 1.5 *)
@@ -124,11 +125,11 @@ let test_fractional_covering () =
   M.add_constr m [ (v.(0), 1); (v.(1), 1) ] M.Geq 1;
   M.add_constr m [ (v.(1), 1); (v.(2), 1) ] M.Geq 1;
   M.add_constr m [ (v.(0), 1); (v.(2), 1) ] M.Geq 1;
-  match FS.solve m with
+  match FS.solve_frozen (frz m) with
   | FS.Optimal { objective; _ } -> Alcotest.(check (float 1e-6)) "LP" 1.5 objective
   | _ -> Alcotest.fail "expected optimal"
 
-(* --- Differential property: primal = dual = exact ------------------------- *)
+(* --- Differential property: float = exact at both kernels ------------------ *)
 
 let arb_model =
   let gen =
@@ -162,29 +163,30 @@ let build_model (objs, uppers, rows) =
     rows;
   m
 
-let prop_primal_dual_exact_agree =
-  QCheck.Test.make ~name:"primal = dual = exact on random nonneg models" ~count:400 arb_model
-    (fun spec ->
-      let m = build_model spec in
-      let a = objective_of (FS.solve ~method_:`Primal m) in
-      let b = objective_of (FS.solve ~method_:`Auto m) in
-      let c =
-        match ES.solve m with
-        | ES.Optimal { objective; _ } -> Some (Numeric.Rat.to_float objective)
-        | _ -> None
-      in
+let prop_float_exact_agree =
+  QCheck.Test.make ~name:"float = exact at both kernels on random nonneg models" ~count:400
+    arb_model (fun spec ->
+      let fz = frz (build_model spec) in
       let close x y =
         match (x, y) with
         | Some a, Some b -> Float.abs (a -. b) < 1e-5
         | None, None -> true
         | _ -> false
       in
-      close a b && close a c)
+      List.for_all
+        (fun kernel ->
+          let exact =
+            match ES.solve_frozen ~kernel fz with
+            | ES.Optimal { objective; _ } -> Some (Numeric.Rat.to_float objective)
+            | ES.Infeasible -> None
+          in
+          close (objective_of (FS.solve_frozen ~kernel fz)) exact)
+        [ `Dense; `Sparse ])
 
 let prop_solution_feasible =
   QCheck.Test.make ~name:"returned solutions satisfy the model" ~count:400 arb_model (fun spec ->
       let m = build_model spec in
-      match solution_of (FS.solve m) with
+      match solution_of (FS.solve_frozen (frz m)) with
       | Some x -> M.check_feasible m x
       | None -> true)
 
@@ -199,7 +201,7 @@ let triangle_vc () =
   m
 
 let test_bb_triangle () =
-  let r = FB.solve (triangle_vc ()) in
+  let r = FB.solve_frozen (frz (triangle_vc ())) in
   Alcotest.(check bool) "optimal" true (r.FB.status = FB.Optimal);
   Alcotest.(check (float 1e-6)) "objective 2" 2.0 (Option.get r.FB.objective);
   Alcotest.(check (float 1e-6)) "fractional root" 1.5 (Option.get r.FB.root_objective);
@@ -212,7 +214,7 @@ let test_bb_integral_root () =
   let x = M.add_var ~integer:true ~upper:1 ~obj:1 m in
   let y = M.add_var ~integer:true ~upper:1 ~obj:2 m in
   M.add_constr m [ (x, 1); (y, 1) ] M.Geq 1;
-  let r = FB.solve m in
+  let r = FB.solve_frozen (frz m) in
   Alcotest.(check (float 1e-6)) "objective 1" 1.0 (Option.get r.FB.objective);
   Alcotest.(check bool) "root integral" true r.FB.root_integral;
   Alcotest.(check int) "single node" 1 r.FB.nodes
@@ -221,11 +223,11 @@ let test_bb_infeasible () =
   let m = M.create () in
   let x = M.add_var ~integer:true ~upper:1 m in
   M.add_constr m [ (x, 1) ] M.Geq 2;
-  let r = FB.solve m in
+  let r = FB.solve_frozen (frz m) in
   Alcotest.(check bool) "infeasible" true (r.FB.status = FB.Infeasible)
 
 let test_bb_node_limit () =
-  let r = FB.solve ~node_limit:1 (triangle_vc ()) in
+  let r = FB.solve_frozen ~node_limit:1 (frz (triangle_vc ())) in
   Alcotest.(check bool) "limit status" true
     (match r.FB.status with FB.Feasible | FB.Limit_no_solution -> true | _ -> false)
 
@@ -233,13 +235,14 @@ let test_bb_rejects_general_integers () =
   let m = M.create () in
   let x = M.add_var ~integer:true ~upper:5 ~obj:1 m in
   M.add_constr m [ (x, 1) ] M.Geq 1;
-  Alcotest.check_raises "non-binary" (Invalid_argument "Branch_bound.solve: integer variables must be binary")
-    (fun () -> ignore (FB.solve m))
+  Alcotest.check_raises "non-binary"
+    (Invalid_argument "Branch_bound.solve_session: integer variables must be binary") (fun () ->
+      ignore (FB.solve_frozen (frz m)))
 
 let test_bb_exact_matches_float () =
   let m = triangle_vc () in
-  let rf = FB.solve m in
-  let re = EB.solve m in
+  let rf = FB.solve_frozen (frz m) in
+  let re = EB.solve_frozen (frz m) in
   Alcotest.(check (float 1e-9)) "same optimum" (Option.get rf.FB.objective)
     (Numeric.Rat.to_float (Option.get re.EB.objective))
 
@@ -262,7 +265,7 @@ let prop_bb_matches_bruteforce =
           if w < !best then best := w
         end
       done;
-      let r = FB.solve m in
+      let r = FB.solve_frozen (frz m) in
       match r.FB.objective with
       | Some obj -> int_of_float (Float.round obj) = !best
       | None -> false)
@@ -278,14 +281,14 @@ let () =
         ] );
       ( "simplex",
         [
-          Alcotest.test_case "known LP, all methods" `Quick test_simplex_known;
+          Alcotest.test_case "known LP, both kernels" `Quick test_simplex_known;
           Alcotest.test_case "exact instance" `Quick test_simplex_exact_known;
           Alcotest.test_case "infeasible" `Quick test_simplex_infeasible;
-          Alcotest.test_case "unbounded" `Quick test_simplex_unbounded;
-          Alcotest.test_case "equalities (primal path)" `Quick test_simplex_degenerate_equalities;
+          Alcotest.test_case "rejects negative objective" `Quick test_rejects_negative_objective;
+          Alcotest.test_case "equalities" `Quick test_simplex_degenerate_equalities;
           Alcotest.test_case "fixed variables" `Quick test_simplex_fixed;
           Alcotest.test_case "fractional covering" `Quick test_fractional_covering;
-          q prop_primal_dual_exact_agree;
+          q prop_float_exact_agree;
           q prop_solution_feasible;
         ] );
       ( "branch_bound",

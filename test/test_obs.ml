@@ -497,6 +497,30 @@ let test_runlog_from_solve () =
       "\"cols\":"; "\"nnz\":"; "\"certified\":"; "\"wall_s\":";
     ]
 
+let test_runlog_budget_outcome () =
+  (* A one-shot solve stopped by its node budget still appends its record:
+     the self-join triangle R(1,2), R(2,3), R(3,1) under R(x,y), R(y,z) has
+     root LP 1.5, so one node cannot finish the search. *)
+  let path = Filename.temp_file "runlog" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let q = Relalg.Cq_parser.parse "Q :- R(x, y), R(y, z)" in
+  let db = Relalg.Database.create () in
+  List.iter
+    (fun args -> ignore (Relalg.Database.add db "R" args))
+    [ [| 1; 2 |]; [| 2; 3 |]; [| 3; 1 |] ];
+  Obs.Runlog.enable path;
+  (match Resilience.Solve.resilience ~node_limit:1 Resilience.Problem.Set q db with
+  | Resilience.Solve.Budget_exhausted _ -> ()
+  | _ -> Alcotest.fail "expected the node budget to stop the solve");
+  Obs.Runlog.disable ();
+  let ic = open_in path in
+  let _header = input_line ic in
+  let record = input_line ic in
+  let more = try ignore (input_line ic); true with End_of_file -> false in
+  close_in ic;
+  Alcotest.(check bool) "budget status" true (contains record "\"status\":\"budget\"");
+  Alcotest.(check bool) "exactly one record" false more
+
 let () =
   let open Alcotest in
   run "obs"
@@ -539,6 +563,7 @@ let () =
         [
           test_case "header and field rendering" `Quick test_runlog_records;
           test_case "one record per solve" `Quick test_runlog_from_solve;
+          test_case "budget-stopped solve is recorded" `Quick test_runlog_budget_outcome;
         ] );
       ( "spans",
         [

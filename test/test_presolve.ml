@@ -26,11 +26,11 @@ let float_roundtrip seed =
     match presolve m with
     | Lp.Presolve.Unbounded -> false (* covering programs are never unbounded *)
     | Lp.Presolve.Infeasible -> (
-      match (Lp.Solvers.Float_bb.solve m).Lp.Solvers.Float_bb.status with
+      match (Lp.Solvers.Float_bb.solve_frozen (Lp.Frozen.of_model m)).Lp.Solvers.Float_bb.status with
       | Lp.Solvers.Float_bb.Infeasible -> true
       | _ -> false)
     | Lp.Presolve.Reduced (reduced, vm) -> (
-      let a = Lp.Solvers.Float_bb.solve m in
+      let a = Lp.Solvers.Float_bb.solve_frozen (Lp.Frozen.of_model m) in
       let b = Lp.Solvers.Float_bb.solve_frozen reduced in
       match
         ( a.Lp.Solvers.Float_bb.status,
@@ -56,11 +56,11 @@ let exact_roundtrip seed =
     match presolve m with
     | Lp.Presolve.Unbounded -> false
     | Lp.Presolve.Infeasible -> (
-      match (Lp.Solvers.Exact_bb.solve m).Lp.Solvers.Exact_bb.status with
+      match (Lp.Solvers.Exact_bb.solve_frozen (Lp.Frozen.of_model m)).Lp.Solvers.Exact_bb.status with
       | Lp.Solvers.Exact_bb.Infeasible -> true
       | _ -> false)
     | Lp.Presolve.Reduced (reduced, vm) -> (
-      let a = Lp.Solvers.Exact_bb.solve m in
+      let a = Lp.Solvers.Exact_bb.solve_frozen (Lp.Frozen.of_model m) in
       let b = Lp.Solvers.Exact_bb.solve_frozen reduced in
       match
         ( a.Lp.Solvers.Exact_bb.status,
