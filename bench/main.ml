@@ -605,7 +605,7 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Auto) ?(force_shared = f
          "Ranking batch: one warm session vs cold per-tuple solves (2-chain, set, %s, jobs=%d)"
          regime jobs)
       [ "tuples"; "witnesses"; "rows"; "ranked"; "strategy"; "t_cold"; "t_session"; "t_par";
-        "speedup"; "par_speedup"; "identical" ];
+        "speedup"; "par_speedup"; "us/question"; "kwords/question"; "identical" ];
   let entries = ref [] in
   List.iter
     (fun count ->
@@ -638,7 +638,9 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Auto) ?(force_shared = f
           | `Cold_per_tuple -> "cold"
         in
         let snap0 = Obs.Counter.snapshot () in
+        let words0 = Gc.minor_words () in
         let ranked, t_session = time (fun () -> Session.ranking session) in
+        let words1 = Gc.minor_words () in
         let snap1 = Obs.Counter.snapshot () in
         let par, t_par =
           if jobs > 1 then begin
@@ -658,6 +660,11 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Auto) ?(force_shared = f
         (* Per-phase breakdown of the sequential session, from its own
            accumulator — where a ranking's time actually goes. *)
         let prof = Session.profile session in
+        (* Per-question cost of the sequential ranking: wall time and minor
+           words allocated on this domain, over every question asked. *)
+        let questions = float_of_int (max 1 prof.Session.questions) in
+        let us_per_question = t_session *. 1e6 /. questions in
+        let kwords_per_question = (words1 -. words0) /. 1e3 /. questions in
         (* Basis-kernel stats ride along on traced runs (the counters are
            live exactly then); untraced JSON keeps the schema of old runs. *)
         let basis =
@@ -665,9 +672,10 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Auto) ?(force_shared = f
         in
         entries :=
           Printf.sprintf
-            "{\"tuples\":%d,\"witnesses\":%d,\"rows\":%d,\"ranked\":%d,\"strategy\":\"%s\",\"jobs\":%d,\"cold_s\":%.6f,\"session_s\":%.6f,\"par_s\":%.6f,\"speedup\":%.2f,\"par_speedup\":%.2f,\"identical\":%b,\"phases\":{\"witnesses_s\":%.6f,\"encode_s\":%.6f,\"lint_s\":%.6f,\"prep_s\":%.6f,\"solve_s\":%.6f,\"questions\":%d}%s}"
+            "{\"tuples\":%d,\"witnesses\":%d,\"rows\":%d,\"ranked\":%d,\"strategy\":\"%s\",\"jobs\":%d,\"cold_s\":%.6f,\"session_s\":%.6f,\"par_s\":%.6f,\"speedup\":%.2f,\"par_speedup\":%.2f,\"us_per_question\":%.1f,\"minor_kwords_per_question\":%.2f,\"identical\":%b,\"phases\":{\"witnesses_s\":%.6f,\"encode_s\":%.6f,\"lint_s\":%.6f,\"prep_s\":%.6f,\"solve_s\":%.6f,\"questions\":%d}%s}"
             tuples witnesses rows (List.length ranked) strategy jobs t_cold t_session t_par
-            speedup par_speedup identical prof.Session.witnesses_s prof.Session.encode_s
+            speedup par_speedup us_per_question kwords_per_question identical
+            prof.Session.witnesses_s prof.Session.encode_s
             prof.Session.lint_s prof.Session.prep_s prof.Session.solve_s prof.Session.questions
             basis
           :: !entries;
@@ -684,10 +692,12 @@ let run_ranking ?(jobs = 1) ?(dense = false) ?(basis = `Auto) ?(force_shared = f
               fmt_time t_par;
               Printf.sprintf "%.1fx" speedup;
               Printf.sprintf "%.1fx" par_speedup;
+              Printf.sprintf "%.0f" us_per_question;
+              Printf.sprintf "%.1f" kwords_per_question;
               string_of_bool identical;
             ]
       end)
-    [ 100; 200; 400 ];
+    [ 100; 200; 400; 800 ];
   if json then Printf.printf "[%s]\n" (String.concat "," (List.rev !entries));
   if metrics then Obs.Sink.disarm_metrics ();
   match trace with

@@ -178,14 +178,39 @@ let random_delta rng vars =
       | _ -> d)
     Lp.Frozen.Delta.empty vars
 
-(* Short delta sequences over small programs: every delta kind against every
+(* A release chain: each delta derives from the previous one by fixing,
+   re-fixing or releasing 1-5 variables, with now and then a fresh
+   whole-model delta — the small steps a warm session installs
+   incrementally, interleaved with the wholesale changes it installs in
+   full. *)
+let release_chain rng vars steps =
+  let nvars = Array.length vars in
+  let prev = ref Lp.Frozen.Delta.empty in
+  init_seq steps (fun _ ->
+      (prev :=
+         if Splitmix.chance rng 1 4 then random_delta rng vars
+         else begin
+           let d = ref !prev in
+           for _ = 1 to Splitmix.in_range rng 1 5 do
+             let v = vars.(Splitmix.int rng nvars) in
+             d :=
+               match Splitmix.int rng 3 with
+               | 0 -> Lp.Frozen.Delta.release v !d
+               | 1 -> Lp.Frozen.Delta.fix_zero v !d
+               | _ -> Lp.Frozen.Delta.force_one v !d
+           done;
+           !d
+         end);
+      !prev)
+
+(* Short delta chains over small programs: every delta kind against every
    warm basis shape. *)
 let gen_lp_cover rng =
   let nvars = Splitmix.in_range rng 4 9 in
   let nrows = Splitmix.in_range rng 3 8 in
   let frozen, vars = covering_model rng ~nvars ~nrows ~tie_costs:(Splitmix.bool rng) in
   let steps = Splitmix.in_range rng 4 16 in
-  { frozen; deltas = init_seq steps (fun _ -> random_delta rng vars) }
+  { frozen; deltas = release_chain rng vars steps }
 
 (* Long warm batches over a mid-size program: hundreds of solves against one
    session, the regime where inverse drift accumulates (the PR 2 eta-drift
@@ -219,7 +244,7 @@ let gen_lp_drift rng =
   done;
   let frozen = Lp.Frozen.of_model m in
   let steps = Splitmix.in_range rng 300 600 in
-  { frozen; deltas = init_seq steps (fun _ -> random_delta rng vars) }
+  { frozen; deltas = release_chain rng vars steps }
 
 (* Row/column appends over a covering base: the incremental-service fast
    path.  The deltas form a monotone append chain — each step derives from

@@ -30,6 +30,12 @@ module type S = sig
 
   val btran : t -> elt array -> elt array
   val btran_unit : t -> int -> elt array
+
+  val btran_unit_pattern : t -> int array
+  val btran_unit_pattern_len : t -> int
+  (** The ascending nonzero positions of the most recent {!btran_unit}
+      result; negative length when untracked. *)
+
   val update : t -> r:int -> wcol:elt array -> unit
   val should_refactor : t -> bool
   val etas : t -> int
@@ -133,6 +139,8 @@ module Dense (F : Numeric.Field.S) : S with type elt = F.t = struct
   let btran_unit t r = Array.copy t.binv.(r)
   let ftran_pattern _ = [||]
   let ftran_pattern_len _ = -1
+  let btran_unit_pattern _ = [||]
+  let btran_unit_pattern_len _ = -1
 
   (* Eta update of the inverse: row r scaled by the pivot, every other row
      eliminated — O(n^2) per basis change, the cost the sparse kernel
@@ -227,6 +235,15 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
     mutable wpat_n : int;
     wstamp : int array;
     mutable wstamp_val : int;
+    (* Result buffers, owned by the kernel and handed out by {!ftran} /
+       {!ftran_dense} and {!btran_unit}: zero outside the last result's
+       pattern ([wpat], resp. [ypat]), and cleared along it by the next
+       call, so a solve costs its pattern rather than a fresh dense
+       vector. *)
+    wbuf : elt array;
+    ybuf : elt array;
+    ypat : int array;
+    mutable ypat_n : int;
   }
 
   let name = "sparse-lu"
@@ -275,7 +292,21 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
       wpat_n = -1;
       wstamp = Array.make n 0;
       wstamp_val = 0;
+      wbuf = Array.make n F.zero;
+      ybuf = Array.make n F.zero;
+      ypat = Array.make n 0;
+      ypat_n = 0;
     }
+
+  (* Zero [wbuf] along the last FTRAN result's pattern, or everywhere when
+     none was tracked. *)
+  let clear_wbuf t =
+    if t.wpat_n >= 0 then
+      for idx = 0 to t.wpat_n - 1 do
+        t.wbuf.(t.wpat.(idx)) <- F.zero
+      done
+    else Array.fill t.wbuf 0 t.nrows F.zero;
+    t.wpat_n <- 0
 
   (* Symbolic step of Gilbert-Peierls: the nonzero pattern of L^-1 a is the
      set of rows reachable from the pattern of [a] in the column graph of
@@ -367,6 +398,7 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
     t.netas <- 0;
     t.eta_nnz <- 0;
     t.factor_nnz <- 0;
+    clear_wbuf t;
     t.wpat_n <- -1;
     Array.fill t.rowcnt 0 n 0;
     let bnnz = ref 0 in
@@ -402,10 +434,7 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
           let xi = t.x.(i) in
           if F.sign xi <> 0 then begin
             let li = t.l_i.(j) and lv = t.l_v.(j) in
-            for e = 0 to Array.length li - 1 do
-              let r = li.(e) in
-              t.x.(r) <- F.sub t.x.(r) (F.mul lv.(e) xi)
-            done
+            F.scatter_sub t.x li lv xi
           end
         end
       done;
@@ -544,10 +573,7 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
       if F.sign xi <> 0 then begin
         let j = t.pinv.(i) in
         let li = t.l_i.(j) and lv = t.l_v.(j) in
-        for e = 0 to Array.length li - 1 do
-          let r = li.(e) in
-          t.x.(r) <- F.sub t.x.(r) (F.mul lv.(e) xi)
-        done
+        F.scatter_sub t.x li lv xi
       end
     done;
     (* Permute the touched rows into step space, collecting the U starts. *)
@@ -565,7 +591,7 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
     (* U back-substitution over the steps reachable from those starts
        (contributions flow down the column pattern [u_i]). *)
     let tn = reach_from t (fun k -> t.u_i.(k)) t.starts !ns in
-    let w = Array.make t.nrows F.zero in
+    let w = t.wbuf in
     t.wstamp_val <- t.wstamp_val + 1;
     t.wpat_n <- 0;
     for idx = tn - 1 downto 0 do
@@ -576,10 +602,7 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
       t.z.(k) <- F.zero;
       if F.sign v <> 0 then begin
         let ui = t.u_i.(k) and uv = t.u_v.(k) in
-        for e = 0 to Array.length ui - 1 do
-          let j = ui.(e) in
-          t.z.(j) <- F.sub t.z.(j) (F.mul uv.(e) v)
-        done
+        F.scatter_sub t.z ui uv v
       end;
       let p = t.q.(k) in
       w.(p) <- v;
@@ -599,10 +622,7 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
       let xk = x.(t.piv_row.(k)) in
       if F.sign xk <> 0 then begin
         let li = t.l_i.(k) and lv = t.l_v.(k) in
-        for e = 0 to Array.length li - 1 do
-          let r = li.(e) in
-          x.(r) <- F.sub x.(r) (F.mul lv.(e) xk)
-        done
+        F.scatter_sub x li lv xk
       end
     done;
     for k = 0 to n - 1 do
@@ -610,16 +630,14 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
       z.(k) <- x.(pr);
       x.(pr) <- F.zero
     done;
-    let w = Array.make n F.zero in
+    (* Every position is written below ([q] is a permutation). *)
+    let w = t.wbuf in
     for k = n - 1 downto 0 do
       let v = F.div z.(k) t.udiag.(k) in
       z.(k) <- F.zero;
       if F.sign v <> 0 then begin
         let ui = t.u_i.(k) and uv = t.u_v.(k) in
-        for e = 0 to Array.length ui - 1 do
-          let j = ui.(e) in
-          z.(j) <- F.sub z.(j) (F.mul uv.(e) v)
-        done
+        F.scatter_sub z ui uv v
       end;
       w.(t.q.(k)) <- v
     done;
@@ -633,24 +651,31 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
       let e = t.etas_arr.(idx) in
       let ur = F.div w.(e.er) e.epiv in
       w.(e.er) <- ur;
-      if F.sign ur <> 0 then
-        for k = 0 to Array.length e.ei - 1 do
-          let i = e.ei.(k) in
-          w.(i) <- F.sub w.(i) (F.mul e.ev.(k) ur);
-          (* The eta can introduce nonzeros outside the factor pattern;
-             extend it (dedup via the stamp) so it stays a superset. *)
-          if t.wpat_n >= 0 && t.wstamp.(i) <> t.wstamp_val then begin
-            t.wstamp.(i) <- t.wstamp_val;
-            t.wpat.(t.wpat_n) <- i;
-            t.wpat_n <- t.wpat_n + 1
-          end
-        done
+      if F.sign ur <> 0 then begin
+        F.scatter_sub w e.ei e.ev ur;
+        (* The eta can introduce nonzeros outside the factor pattern;
+           extend it (dedup via the stamp) so it stays a superset. *)
+        if t.wpat_n >= 0 then
+          for k = 0 to Array.length e.ei - 1 do
+            let i = e.ei.(k) in
+            if t.wstamp.(i) <> t.wstamp_val then begin
+              t.wstamp.(i) <- t.wstamp_val;
+              t.wpat.(t.wpat_n) <- i;
+              t.wpat_n <- t.wpat_n + 1
+            end
+          done
+      end
     done
 
   let ftran t entries =
+    clear_wbuf t;
     List.iter (fun (i, c) -> t.x.(i) <- F.add t.x.(i) c) entries;
     let w = factor_ftran t entries in
     apply_etas_ftran t w;
+    (* The reach and the etas over-approximate: exact zeros (cancellations,
+       common on 0/±1 bases) leave the pattern, so callers iterate the true
+       nonzeros. *)
+    t.wpat_n <- F.drop_zeros w t.wpat t.wpat_n;
     w
 
   let ftran_dense t rhs =
@@ -662,6 +687,27 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
 
   let ftran_pattern t = t.wpat
   let ftran_pattern_len t = t.wpat_n
+  let btran_unit_pattern t = t.ypat
+  let btran_unit_pattern_len t = t.ypat_n
+
+  (* Ascending order of [a.(0 .. n-1)] in place: insertion sort for the
+     short patterns a unit row usually has, the library sort beyond. *)
+  let sort_prefix a n =
+    if n <= 32 then
+      for i = 1 to n - 1 do
+        let v = a.(i) in
+        let j = ref (i - 1) in
+        while !j >= 0 && a.(!j) > v do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- v
+      done
+    else begin
+      let sorted = Array.sub a 0 n in
+      Array.sort compare sorted;
+      Array.blit sorted 0 a 0 n
+    end
 
   let btran t c =
     let n = t.nrows in
@@ -670,12 +716,7 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
        z_r = (v_r - sum_i e_i v_i) / epiv. *)
     for idx = t.netas - 1 downto 0 do
       let e = t.etas_arr.(idx) in
-      let acc = ref v.(e.er) in
-      for k = 0 to Array.length e.ei - 1 do
-        let vi = v.(e.ei.(k)) in
-        if F.sign vi <> 0 then acc := F.sub !acc (F.mul e.ev.(k) vi)
-      done;
-      v.(e.er) <- F.div !acc e.epiv
+      v.(e.er) <- F.div (F.gather_sub v.(e.er) e.ei e.ev v) e.epiv
     done;
     (* Then y^T L U = z^T in step space: forward through U^T, backward
        through L^T into physical rows. *)
@@ -685,23 +726,14 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
     done;
     for k = 0 to n - 1 do
       let ui = t.u_i.(k) and uv = t.u_v.(k) in
-      let acc = ref z.(k) in
-      for e = 0 to Array.length ui - 1 do
-        let zj = z.(ui.(e)) in
-        if F.sign zj <> 0 then acc := F.sub !acc (F.mul uv.(e) zj)
-      done;
-      z.(k) <- F.div !acc t.udiag.(k)
+      z.(k) <- F.div (F.gather_sub z.(k) ui uv z) t.udiag.(k)
     done;
     let y = Array.make n F.zero in
     for k = n - 1 downto 0 do
       let li = t.l_i.(k) and lv = t.l_v.(k) in
-      let acc = ref z.(k) in
-      for e = 0 to Array.length li - 1 do
-        let yi = y.(li.(e)) in
-        if F.sign yi <> 0 then acc := F.sub !acc (F.mul lv.(e) yi)
-      done;
+      let yk = F.gather_sub z.(k) li lv y in
       z.(k) <- F.zero;
-      y.(t.piv_row.(k)) <- !acc
+      y.(t.piv_row.(k)) <- yk
     done;
     y
 
@@ -711,16 +743,15 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
      scatter-form over the reachability of that pattern (via the [ut]/[lt]
      transpose views) instead of every step. *)
   let btran_unit t r =
+    for idx = 0 to t.ypat_n - 1 do
+      t.ybuf.(t.ypat.(idx)) <- F.zero
+    done;
+    t.ypat_n <- 0;
     let v = t.x in
     v.(r) <- F.one;
     for idx = t.netas - 1 downto 0 do
       let e = t.etas_arr.(idx) in
-      let acc = ref v.(e.er) in
-      for k = 0 to Array.length e.ei - 1 do
-        let vi = v.(e.ei.(k)) in
-        if F.sign vi <> 0 then acc := F.sub !acc (F.mul e.ev.(k) vi)
-      done;
-      v.(e.er) <- F.div !acc e.epiv
+      v.(e.er) <- F.div (F.gather_sub v.(e.er) e.ei e.ev v) e.epiv
     done;
     (* The nonzero positions are confined to [r] and the eta pivot rows;
        permute them into step space (clearing the scratch) as U starts. *)
@@ -753,10 +784,7 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
       let zj = F.div t.z.(j) t.udiag.(j) in
       if F.sign zj <> 0 then begin
         let ti = t.ut_i.(j) and tv = t.ut_v.(j) in
-        for e = 0 to Array.length ti - 1 do
-          let k = ti.(e) in
-          t.z.(k) <- F.sub t.z.(k) (F.mul tv.(e) zj)
-        done;
+        F.scatter_sub t.z ti tv zj;
         t.z.(j) <- zj;
         t.starts.(!nl) <- j;
         incr nl
@@ -766,20 +794,20 @@ module Sparse_lu (F : Numeric.Field.S) : S with type elt = F.t = struct
     (* L^T solve, same shape without the division; results land on the
        step's pivot row. *)
     let tn = reach_from t (fun j -> t.lt_i.(j)) t.starts !nl in
-    let y = Array.make t.nrows F.zero in
+    let y = t.ybuf in
     for idx = tn - 1 downto 0 do
       let j = t.topo.(idx) in
       let yj = t.z.(j) in
       t.z.(j) <- F.zero;
       if F.sign yj <> 0 then begin
         let ti = t.lt_i.(j) and tv = t.lt_v.(j) in
-        for e = 0 to Array.length ti - 1 do
-          let k = ti.(e) in
-          t.z.(k) <- F.sub t.z.(k) (F.mul tv.(e) yj)
-        done;
-        y.(t.piv_row.(j)) <- yj
+        F.scatter_sub t.z ti tv yj;
+        y.(t.piv_row.(j)) <- yj;
+        t.ypat.(t.ypat_n) <- t.piv_row.(j);
+        t.ypat_n <- t.ypat_n + 1
       end
     done;
+    sort_prefix t.ypat t.ypat_n;
     y
 
   (* [wcol] is the FTRAN image of the entering column — the pattern of the

@@ -57,12 +57,14 @@ module type S = sig
 
   val ftran : t -> (int * elt) list -> elt array
   (** [ftran t a] solves [B w = a] for a sparse column [a]; the result is a
-      fresh dense array indexed by basis position. *)
+      dense array indexed by basis position.  It may be a buffer the kernel
+      owns: read-only, and valid until the next {!ftran}, {!ftran_dense} or
+      {!refactor} call. *)
 
   val ftran_dense : t -> elt array -> elt array
   (** [ftran_dense t rhs] solves [B w = rhs] for a dense right-hand side
       (used to recompute the basic values after a refactor); [rhs] is not
-      modified. *)
+      modified.  The result obeys {!ftran}'s buffer contract. *)
 
   val ftran_pattern : t -> int array
   val ftran_pattern_len : t -> int
@@ -82,7 +84,17 @@ module type S = sig
 
   val btran_unit : t -> int -> elt array
   (** [btran_unit t r] is row [r] of [B⁻¹] (BTRAN of the [r]-th unit
-      vector), the row the dual ratio test prices columns against. *)
+      vector), the row the dual ratio test prices columns against.  Like
+      {!ftran}'s, the result may be a kernel-owned buffer: read-only, valid
+      until the next {!btran_unit} call. *)
+
+  val btran_unit_pattern : t -> int array
+  val btran_unit_pattern_len : t -> int
+  (** The nonzero positions of the most recent {!btran_unit} result, in
+      ascending order: entries [0 .. btran_unit_pattern_len - 1] of
+      [btran_unit_pattern], valid until the next call.  Negative length
+      when no pattern was tracked (the dense kernel).  The dual pivot's
+      row-wise pass then visits those rows only. *)
 
   val update : t -> r:int -> wcol:elt array -> unit
   (** [update t ~r ~wcol] replaces the basis column at position [r] by the

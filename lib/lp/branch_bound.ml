@@ -10,6 +10,7 @@ let c_budget_hits = Obs.Counter.create "bb.budget_hits"
 let c_max_depth = Obs.Counter.create "bb.max_depth"
 
 type status = Optimal | Feasible | Infeasible | Limit_no_solution
+type work = { pivots : int; refactors : int }
 
 module Make (F : Numeric.Field.S) = struct
   module Lp = Simplex.Make (F)
@@ -27,6 +28,13 @@ module Make (F : Numeric.Field.S) = struct
     refactors : int;
   }
 
+  type relaxation = {
+    objective : F.t;
+    support : Model.var array;
+    values : F.t array;
+    integral : bool;
+  }
+
   (* When the objective touches only integer variables (and has integer
      coefficients, always true of frozen programs), any feasible integral
      point has an integral objective, so a fractional LP bound can be
@@ -36,22 +44,25 @@ module Make (F : Numeric.Field.S) = struct
       F.of_int (int_of_float (Float.ceil (F.to_float bound -. 1e-6)))
     else bound
 
-  (* Pick the integer variable whose LP value is farthest from an integer. *)
-  let most_fractional x int_vars =
-    let best = ref None in
+  (* Pick the integer variable whose LP value is farthest from an integer,
+     the smallest such variable on ties.  Only the support can be
+     fractional: every other variable is zero or at an integer fix. *)
+  let most_fractional fz support values =
+    let best = ref (-1) in
     let best_dist = ref (-1.0) in
-    List.iter
-      (fun v ->
-        if not (F.is_integral x.(v)) then begin
-          let f = F.to_float x.(v) in
+    Array.iteri
+      (fun k v ->
+        let x = values.(k) in
+        if Frozen.is_integer fz v && not (F.is_integral x) then begin
+          let f = F.to_float x in
           let dist = Float.abs (f -. Float.round f) in
-          if dist > !best_dist then begin
-            best := Some v;
+          if dist > !best_dist || (dist = !best_dist && v < !best) then begin
+            best := v;
             best_dist := dist
           end
         end)
-      int_vars;
-    !best
+      support;
+    if !best < 0 then None else Some !best
 
   (* ----- Frozen sessions -------------------------------------------------
      A branch-and-bound session owns one warm-startable dual-simplex
@@ -64,23 +75,22 @@ module Make (F : Numeric.Field.S) = struct
 
   type session = {
     sfz : Frozen.t;
-    skernel : Basis.choice;  (* inherited by per-domain sessions in _par *)
     slp : Lp.session;
-    sint : Model.var list;  (* integer variables of [sfz] *)
     mutable sext : (Frozen.Delta.t * Frozen.t) option;
         (* Cache of the last append extension: the delta whose appends were
            materialised and the resulting frozen program.  A serve-style
            batch replays the same grown delta many times; re-extending per
            solve would re-copy the matrix every call. *)
+    mutable smeta : (Frozen.t * (int * bool)) option;
+        (* [fz_meta] of the program last solved, by physical identity *)
   }
 
   let create_session ?(kernel = `Auto) fz =
     {
       sfz = fz;
-      skernel = kernel;
       slp = Lp.create_session ~kernel fz;
-      sint = Frozen.integer_vars fz;
       sext = None;
+      smeta = None;
     }
 
   (* The session's program with the delta's appends materialised (cached by
@@ -95,26 +105,33 @@ module Make (F : Numeric.Field.S) = struct
         sess.sext <- Some (delta, fz);
         fz
 
-  let lp_relax sess delta =
-    match Lp.session_solve sess.slp delta with
-    | Lp.Optimal { objective; solution } -> `Optimal (objective, solution)
-    | Lp.Infeasible -> `Infeasible
+  (* One node's relaxation: the sparse read-out spread into the dense
+     vector the search branches on, with its integrality flag. *)
+  let lp_relax sess ~nvars delta =
+    match Lp.session_solve_sparse sess.slp delta with
+    | Lp.Sparse_optimal { objective; support; values; integral } ->
+      `Optimal (objective, Lp.point ~nvars delta support values, support, values, integral)
+    | Lp.Sparse_infeasible -> `Infeasible
+
+  (* Lifetime simplex work of a session's warm LP engine. *)
+  let session_work sess = (Lp.session_pivots sess.slp, Lp.session_refactors sess.slp)
 
   (* Integrality is tested in the field — exactly, at the rationals — on
-     the integer variables of the program the delta solves: appended rows
-     add none, appended columns may. *)
+     the integer variables of the program the delta solves (appended
+     columns included), by the LP session's sparse read-out. *)
   let relax ?(delta = Frozen.Delta.empty) sess =
-    match lp_relax sess delta with
-    | `Optimal (objective, solution) ->
-      let int_vars =
-        if Frozen.Delta.num_appended_cols delta = 0 then sess.sint
-        else Frozen.integer_vars (extended sess delta)
-      in
-      `Optimal (objective, solution, Lp.integral_on solution int_vars)
-    | `Infeasible -> `Infeasible
+    let piv0, ref0 = session_work sess in
+    let lp =
+      match Lp.session_solve_sparse sess.slp delta with
+      | Lp.Sparse_optimal { objective; support; values; integral } ->
+        `Optimal { objective; support; values; integral }
+      | Lp.Sparse_infeasible -> `Infeasible
+    in
+    let piv1, ref1 = session_work sess in
+    (lp, ({ pivots = piv1 - piv0; refactors = ref1 - ref0 } : work))
 
   (* Per-frozen-program metadata shared by every session solve: binary
-     check, integer variables, objective purity.  Branching fixes integer
+     check, variable count, objective purity.  Branching fixes integer
      variables to 0/1, so they must be binary; a missing upper bound is
      accepted for covering-style programs whose optima are componentwise
      <= 1 anyway, an explicit bound other than 1 is refused. *)
@@ -134,7 +151,7 @@ module Make (F : Numeric.Field.S) = struct
       done;
       !ok && int_vars <> []
     in
-    (nvars, int_vars, pure_int_obj)
+    (nvars, pure_int_obj)
 
   let frozen_objective_at fz nvars x =
     let acc = ref F.zero in
@@ -144,106 +161,19 @@ module Make (F : Numeric.Field.S) = struct
     done;
     !acc
 
-  (* One depth-first search over deltas against a relaxation oracle.  The
-     incumbent store and budgets are abstracted so the sequential solver
-     backs them with plain refs while the parallel solver shares atomics
-     across domains, and both run the {e same} traversal (children pushed in
-     the same order, same pruning, same rounding heuristic).
-
-     [tick] accounts one node and returns [false] when the node budget is
-     exhausted; [best]/[offer] read and propose incumbents; [on_solved]
-     fires per optimal relaxation (the callers use the first to record the
-     root).  With [frontier_depth], nodes reaching that depth are handed to
-     [defer] {e unsolved} instead of being explored — the parallel frontier.
-     Returns whether a budget stopped the search. *)
-  let dfs ~relax ~fz ~base_delta ~nvars ~int_vars ~pure_int_obj ~best ~offer ~tick ~timed_out
-      ~on_solved ?frontier_depth ?(defer = fun _ -> ()) stack0 =
-    let objective_at = frozen_objective_at fz nvars in
-    (* Primal heuristic: ceil every positive integer variable — always
-       feasible in covering programs, elsewhere the check filters.  It is
-       validated against the base delta: branching fixes are search
-       artifacts a root-feasible point need not respect, and rounding
-       preserves 0/1 fixes anyway. *)
-    let try_rounding solution =
-      let x = Array.copy solution in
-      List.iter
-        (fun v -> x.(v) <- (if F.to_float solution.(v) > 1e-6 then F.one else F.zero))
-        int_vars;
-      if Frozen.check_feasible ~delta:base_delta fz (Array.map F.to_float x) then
-        offer (objective_at x) x
-    in
-    let hit_limit = ref false in
-    let stack = ref stack0 in
-    let continue = ref true in
-    while !continue do
-      match !stack with
-      | [] -> continue := false
-      | (node_delta, depth) :: rest -> (
-        stack := rest;
-        match frontier_depth with
-        | Some d when depth >= d -> defer node_delta
-        | _ ->
-          if timed_out () || not (tick ()) then begin
-            hit_limit := true;
-            Obs.Counter.incr c_budget_hits;
-            continue := false
-          end
-          else begin
-            Obs.Counter.incr c_nodes;
-            Obs.Counter.record_max c_max_depth depth;
-            match relax node_delta with
-            | `Infeasible -> Obs.Counter.incr c_infeasible_nodes
-            | `Optimal (objective, solution) ->
-              on_solved objective solution;
-              let bound = strengthen pure_int_obj objective in
-              let pruned =
-                match best () with Some inc -> F.compare bound inc >= 0 | None -> false
-              in
-              if pruned then Obs.Counter.incr c_pruned
-              else begin
-                match most_fractional solution int_vars with
-                | None ->
-                  Obs.Counter.incr c_integral_leaves;
-                  offer objective solution
-                | Some v ->
-                  try_rounding solution;
-                  (* The x=1 child goes on top, so it is explored first:
-                     covering programs find incumbents fast that way. *)
-                  stack :=
-                    (Frozen.Delta.fix v 0 node_delta, depth + 1)
-                    :: (Frozen.Delta.fix v 1 node_delta, depth + 1)
-                    :: !stack
-              end
-          end)
-    done;
-    !hit_limit
-
-  let status_of ~incumbent ~hit_limit =
-    match (incumbent, hit_limit) with
-    | Some _, false -> Optimal
-    | Some _, true -> Feasible
-    | None, true -> Limit_no_solution
-    | None, false -> Infeasible
-
-  (* A "first optimal relaxation" recorder; the first solved node of a tree
-     is always its root. *)
-  let root_recorder int_vars =
-    let root_objective = ref None in
-    let root_integral = ref false in
-    let on_solved obj sol =
-      if !root_objective = None then begin
-        root_objective := Some obj;
-        root_integral := Lp.integral_on sol int_vars
-      end
-    in
-    (root_objective, root_integral, on_solved)
-
-  (* Lifetime simplex work of a session's warm LP engine. *)
-  let session_work sess = (Lp.session_pivots sess.slp, Lp.session_refactors sess.slp)
-
+  (* One depth-first search over deltas, every node a warm re-solve on the
+     session's LP engine.  Returns the incumbent, the root relaxation and
+     whether a node or time budget stopped the search. *)
   let solve_session ?node_limit ?time_limit ?(delta = Frozen.Delta.empty) sess =
     let fz = extended sess delta in
-    let nvars, int_vars, pure_int_obj = fz_meta fz in
+    let nvars, pure_int_obj =
+      match sess.smeta with
+      | Some (fz', meta) when fz' == fz -> meta
+      | _ ->
+        let meta = fz_meta fz in
+        sess.smeta <- Some (fz, meta);
+        meta
+    in
     let span0 = Obs.Trace.begin_ () in
     let piv0, ref0 = session_work sess in
     let t0 = Clock.now () in
@@ -251,12 +181,8 @@ module Make (F : Numeric.Field.S) = struct
       match time_limit with Some limit -> Clock.elapsed t0 > limit | None -> false
     in
     let nodes = ref 0 in
-    let tick () =
-      match node_limit with
-      | Some l when !nodes >= l -> false
-      | Some _ | None ->
-        incr nodes;
-        true
+    let budget_left () =
+      match node_limit with Some l -> !nodes < l | None -> true
     in
     let incumbent_obj = ref None in
     let incumbent_sol = ref None in
@@ -268,24 +194,80 @@ module Make (F : Numeric.Field.S) = struct
         incumbent_obj := Some obj;
         incumbent_sol := Some sol
     in
-    let root_objective, root_integral, on_solved = root_recorder int_vars in
+    let root_objective = ref None in
+    let root_integral = ref false in
+    let objective_at = frozen_objective_at fz nvars in
     (* [fz] is already the extended program, so the rounding check gets the
        delta with its appends stripped — passing them again would apply
        them twice. *)
-    let hit_limit =
-      dfs
-        ~relax:(lp_relax sess)
-        ~fz
-        ~base_delta:(Frozen.Delta.clear_appends delta)
-        ~nvars ~int_vars ~pure_int_obj
-        ~best:(fun () -> !incumbent_obj)
-        ~offer ~tick ~timed_out ~on_solved
-        [ (delta, 0) ]
+    let base_delta = Frozen.Delta.clear_appends delta in
+    (* Primal heuristic: ceil every positive integer variable — always
+       feasible in covering programs, elsewhere the check filters.  It is
+       validated against the base delta: branching fixes are search
+       artifacts a root-feasible point need not respect, and rounding
+       preserves 0/1 fixes anyway (so only the support moves). *)
+    let try_rounding solution support values =
+      let x = Array.copy solution in
+      Array.iteri
+        (fun k v ->
+          if Frozen.is_integer fz v then
+            x.(v) <- (if F.to_float values.(k) > 1e-6 then F.one else F.zero))
+        support;
+      if Frozen.check_feasible ~delta:base_delta fz (Array.map F.to_float x) then
+        offer (objective_at x) x
     in
+    let hit_limit = ref false in
+    let stack = ref [ (delta, 0) ] in
+    let continue = ref true in
+    while !continue do
+      match !stack with
+      | [] -> continue := false
+      | (node_delta, depth) :: rest -> (
+        stack := rest;
+        if timed_out () || not (budget_left ()) then begin
+          hit_limit := true;
+          Obs.Counter.incr c_budget_hits;
+          continue := false
+        end
+        else begin
+          incr nodes;
+          Obs.Counter.incr c_nodes;
+          Obs.Counter.record_max c_max_depth depth;
+          match lp_relax sess ~nvars node_delta with
+          | `Infeasible -> Obs.Counter.incr c_infeasible_nodes
+          | `Optimal (objective, solution, support, values, integral) -> (
+            (* The first solved node of a tree is always its root. *)
+            if !root_objective = None then begin
+              root_objective := Some objective;
+              root_integral := integral
+            end;
+            let bound = strengthen pure_int_obj objective in
+            match !incumbent_obj with
+            | Some inc when F.compare bound inc >= 0 -> Obs.Counter.incr c_pruned
+            | _ -> (
+              match if integral then None else most_fractional fz support values with
+              | None ->
+                Obs.Counter.incr c_integral_leaves;
+                offer objective solution
+              | Some v ->
+                try_rounding solution support values;
+                (* The x=1 child goes on top, so it is explored first:
+                   covering programs find incumbents fast that way. *)
+                stack :=
+                  (Frozen.Delta.fix v 0 node_delta, depth + 1)
+                  :: (Frozen.Delta.fix v 1 node_delta, depth + 1)
+                  :: !stack))
+        end)
+    done;
     let piv1, ref1 = session_work sess in
     Obs.Trace.end_ span0 "bb.solve";
     {
-      status = status_of ~incumbent:!incumbent_obj ~hit_limit;
+      status =
+        (match (!incumbent_obj, !hit_limit) with
+        | Some _, false -> Optimal
+        | Some _, true -> Feasible
+        | None, true -> Limit_no_solution
+        | None, false -> Infeasible);
       objective = !incumbent_obj;
       solution = !incumbent_sol;
       nodes = !nodes;
@@ -294,121 +276,6 @@ module Make (F : Numeric.Field.S) = struct
       pivots = piv1 - piv0;
       refactors = ref1 - ref0;
     }
-
-  (* Parallel exploration of the top of the tree: the session's own engine
-     expands breadth (depth-first, but only to [par_depth] levels), the
-     resulting frontier subtrees are drained by the pool — one fresh
-     warm-startable session per participating domain, all against the same
-     shared frozen arrays — and bound updates flow through an atomic
-     incumbent every domain prunes against.  Node and time budgets are
-     shared: one atomic node counter, one deadline. *)
-  let solve_session_par ?node_limit ?time_limit ?(delta = Frozen.Delta.empty) ?(par_depth = 3)
-      ~pool sess =
-    if Pool.jobs pool <= 1 || par_depth <= 0 then
-      solve_session ?node_limit ?time_limit ~delta sess
-    else begin
-      let fz = extended sess delta in
-      let base_delta = Frozen.Delta.clear_appends delta in
-      let nvars, int_vars, pure_int_obj = fz_meta fz in
-      let span0 = Obs.Trace.begin_ () in
-      let piv0, ref0 = session_work sess in
-      (* Work done by the per-domain engines of phase 2; drained into these
-         totals as each frontier task completes. *)
-      let par_pivots = Atomic.make 0 in
-      let par_refactors = Atomic.make 0 in
-      let t0 = Clock.now () in
-      let timed_out () =
-        match time_limit with Some limit -> Clock.elapsed t0 > limit | None -> false
-      in
-      let nodes = Atomic.make 0 in
-      let tick () =
-        match node_limit with
-        | None ->
-          Atomic.incr nodes;
-          true
-        | Some l ->
-          let n = Atomic.fetch_and_add nodes 1 in
-          if n >= l then begin
-            (* Undo the overshoot so the reported count stays within the
-               budget regardless of how many domains raced here. *)
-            ignore (Atomic.fetch_and_add nodes (-1));
-            false
-          end
-          else true
-      in
-      let incumbent = Atomic.make None in
-      let best () = Option.map fst (Atomic.get incumbent) in
-      let rec offer obj sol =
-        let cur = Atomic.get incumbent in
-        match cur with
-        | Some (inc, _) when F.compare obj inc >= 0 -> ()
-        | _ ->
-          if Atomic.compare_and_set incumbent cur (Some (obj, sol)) then
-            Obs.Counter.incr c_incumbents
-          else offer obj sol
-      in
-      let root_objective, root_integral, on_solved = root_recorder int_vars in
-      (* Phase 1: expand the top [par_depth] levels on the session's own
-         engine; nodes reaching the cutoff become the frontier. *)
-      let frontier = ref [] in
-      let hit1 =
-        dfs
-          ~relax:(lp_relax sess)
-          ~fz ~base_delta ~nvars ~int_vars ~pure_int_obj ~best ~offer ~tick ~timed_out
-          ~on_solved ~frontier_depth:par_depth
-          ~defer:(fun d -> frontier := d :: !frontier)
-          [ (delta, 0) ]
-      in
-      let frontier = Array.of_list (List.rev !frontier) in
-      let hit_limit = Atomic.make hit1 in
-      if (not hit1) && Array.length frontier > 0 then begin
-        (* Phase 2: one subtree per frontier delta.  A domain joining the
-           batch opens its own session against the shared frozen program;
-           a task observing an exhausted budget returns without
-           exploring. *)
-        ignore
-          (Pool.run_init pool
-             (* Domains open their session on the BASE program: frontier
-                deltas carry the appends, and each domain's LP session
-                absorbs them exactly once on its first solve.  Opening on
-                the extended program would extend again. *)
-             ~init:(fun () -> create_session ~kernel:sess.skernel sess.sfz)
-             ~tasks:(Array.length frontier)
-             (fun dom_sess i ->
-               if not (Atomic.get hit_limit) then begin
-                 let dp0, dr0 = session_work dom_sess in
-                 let hit =
-                   dfs
-                     ~relax:(lp_relax dom_sess)
-                     ~fz ~base_delta ~nvars ~int_vars ~pure_int_obj ~best ~offer ~tick
-                     ~timed_out
-                     ~on_solved:(fun _ _ -> ())
-                     [ (frontier.(i), par_depth) ]
-                 in
-                 let dp1, dr1 = session_work dom_sess in
-                 ignore (Atomic.fetch_and_add par_pivots (dp1 - dp0));
-                 ignore (Atomic.fetch_and_add par_refactors (dr1 - dr0));
-                 if hit then Atomic.set hit_limit true
-               end))
-      end;
-      let incumbent_obj, incumbent_sol =
-        match Atomic.get incumbent with
-        | Some (obj, sol) -> (Some obj, Some sol)
-        | None -> (None, None)
-      in
-      let piv1, ref1 = session_work sess in
-      Obs.Trace.end_ span0 "bb.solve";
-      {
-        status = status_of ~incumbent:incumbent_obj ~hit_limit:(Atomic.get hit_limit);
-        objective = incumbent_obj;
-        solution = incumbent_sol;
-        nodes = Atomic.get nodes;
-        root_objective = !root_objective;
-        root_integral = !root_integral;
-        pivots = piv1 - piv0 + Atomic.get par_pivots;
-        refactors = ref1 - ref0 + Atomic.get par_refactors;
-      }
-    end
 
   let solve_frozen ?node_limit ?time_limit ?delta fz =
     solve_session ?node_limit ?time_limit ?delta (create_session fz)

@@ -20,6 +20,10 @@ type status =
 (** Shared by every field instantiation, so results convert between fields
     without a status translation. *)
 
+type work = { pivots : int; refactors : int }
+(** Simplex work spent on one call, from the warm session's lifetime
+    totals. *)
+
 module Make (F : Numeric.Field.S) : sig
   type nonrec status = status = Optimal | Feasible | Infeasible | Limit_no_solution
 
@@ -34,8 +38,7 @@ module Make (F : Numeric.Field.S) : sig
             variables — the paper's LP=ILP condition observed in practice. *)
     pivots : int;
         (** Simplex pivots spent on this solve, attributed through the warm
-            session's lifetime totals (parallel solves include the
-            per-domain engines). *)
+            session's lifetime totals. *)
     refactors : int;  (** Basis refactorisations, attributed like [pivots]. *)
   }
 
@@ -52,8 +55,7 @@ module Make (F : Numeric.Field.S) : sig
 
   val create_session : ?kernel:Basis.choice -> Frozen.t -> session
   (** [kernel] selects the basis representation of the warm LP session
-      ([`Auto] = sparse LU, see {!Basis.choice}); {!solve_session_par}'s
-      per-domain sessions inherit it. *)
+      ([`Auto] = sparse LU, see {!Basis.choice}). *)
 
   val solve_session :
     ?node_limit:int -> ?time_limit:float -> ?delta:Frozen.Delta.t -> session -> result
@@ -67,34 +69,22 @@ module Make (F : Numeric.Field.S) : sig
       @raise Invalid_argument if an integer variable has an upper bound
       other than 1. *)
 
-  val solve_session_par :
-    ?node_limit:int ->
-    ?time_limit:float ->
-    ?delta:Frozen.Delta.t ->
-    ?par_depth:int ->
-    pool:Pool.t ->
-    session ->
-    result
-  (** {!solve_session} with the two children of every node in the top
-      [par_depth] levels (default 3) explored in parallel: the session's own
-      engine expands that prefix of the tree, the resulting frontier
-      subtrees are drained by the {!Pool} — each participating domain opens
-      its own warm-startable session against the {e same} shared frozen
-      arrays — and bound updates flow through an atomic incumbent all
-      domains prune against.  Node and time budgets are shared across
-      domains (one atomic node counter, one deadline), so the contract of
-      {!solve_session} is preserved; without budgets the returned status and
-      objective are identical to the sequential solve (the optimum is
-      unique; the optimal {e point} and node count may differ, since
-      pruning order depends on incumbent arrival).  With a 1-domain pool or
-      [par_depth = 0] this {e is} [solve_session], bit for bit. *)
+  type relaxation = {
+    objective : F.t;
+    support : Model.var array;
+        (** The nonzero variables the delta does not fix (see
+            {!Simplex.Make.session_solve_sparse}). *)
+    values : F.t array;  (** [values.(k)] is the value of [support.(k)]. *)
+    integral : bool;
+        (** The optimum is integral on every integer variable, tested in the
+            field — such an optimum {e is} the ILP optimum. *)
+  }
 
   val relax :
-    ?delta:Frozen.Delta.t -> session -> [ `Optimal of F.t * F.t array * bool | `Infeasible ]
+    ?delta:Frozen.Delta.t -> session -> [ `Optimal of relaxation | `Infeasible ] * work
   (** Just the LP relaxation under the delta (one warm-started simplex
-      solve).  The flag says whether the optimum is integral on every
-      integer variable, tested in the field — such an optimum {e is} the
-      ILP optimum. *)
+      solve), read out sparsely, with the pivots and refactorisations it
+      spent. *)
 
   val solve_frozen :
     ?node_limit:int -> ?time_limit:float -> ?delta:Frozen.Delta.t -> Frozen.t -> result

@@ -33,6 +33,7 @@ module Delta = struct
   let is_empty d = M.is_empty d.fixes && d.ncols = 0 && d.nrows = 0
   let find d v = M.find_opt v d.fixes
   let bindings d = M.bindings d.fixes
+  let iter_fixes f d = M.iter f d.fixes
 
   let append_col ?(integer = false) ?upper ~name ~obj d =
     (match upper with
@@ -265,7 +266,9 @@ let check_feasible ?(eps = 1e-6) ?(delta = Delta.empty) t x =
   let ok = ref true in
   for i = 0 to t.nrows - 1 do
     let lhs = ref 0.0 in
-    iter_row t i (fun v c -> lhs := !lhs +. (float_of_int c *. x.(v)));
+    for k = t.row_start.(i) to t.row_start.(i + 1) - 1 do
+      lhs := !lhs +. (float_of_int t.row_coef.(k) *. x.(t.row_col.(k)))
+    done;
     let frhs = float_of_int t.rhs.(i) in
     let sat =
       match t.sense.(i) with
@@ -275,9 +278,9 @@ let check_feasible ?(eps = 1e-6) ?(delta = Delta.empty) t x =
     in
     if not sat then ok := false
   done;
-  List.iter
-    (fun (v, k) -> if Float.abs (x.(v) -. float_of_int k) > eps then ok := false)
-    (Delta.bindings delta);
+  Delta.iter_fixes
+    (fun v k -> if Float.abs (x.(v) -. float_of_int k) > eps then ok := false)
+    delta;
   for v = 0 to t.nvars - 1 do
     if x.(v) < -.eps then ok := false;
     if t.upper.(v) >= 0 && x.(v) > float_of_int t.upper.(v) +. eps then ok := false

@@ -54,6 +54,11 @@ module Delta : sig
   (** One entry per overridden variable, in ascending variable order
       (appends are not included; see {!appended_cols}/{!appended_rows}). *)
 
+  val iter_fixes : (Model.var -> int -> unit) -> t -> unit
+  (** [iter_fixes f d] calls [f v k] for every override, in ascending
+      variable order, without materialising the {!bindings} list — what a
+      warm solver diffing a delta against its installed one iterates. *)
+
   (** {2 Appends} *)
 
   val append_col : ?integer:bool -> ?upper:int -> name:string -> obj:int -> t -> t

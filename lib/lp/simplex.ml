@@ -30,8 +30,6 @@ let c_ftran_len = Obs.Counter.create "simplex.ftran_len"
 module Make (F : Numeric.Field.S) = struct
   type outcome = Optimal of { objective : F.t; solution : F.t array } | Infeasible
 
-  let integral_on x vars = List.for_all (fun v -> F.is_integral x.(v)) vars
-
   (* ----- Basis kernels -------------------------------------------------
      Both kernel implementations are instantiated at this field; the choice
      is per solve/session, packed existentially so every simplex path is
@@ -53,6 +51,10 @@ module Make (F : Numeric.Field.S) = struct
   let k_ftran_dense kern rhs = match kern with K ((module B), k) -> B.ftran_dense k rhs
   let k_btran kern c = match kern with K ((module B), k) -> B.btran k c
   let k_btran_unit kern r = match kern with K ((module B), k) -> B.btran_unit k r
+  let k_btran_unit_pattern kern = match kern with K ((module B), k) -> B.btran_unit_pattern k
+
+  let k_btran_unit_pattern_len kern =
+    match kern with K ((module B), k) -> B.btran_unit_pattern_len k
   let k_update kern ~r ~wcol = match kern with K ((module B), k) -> B.update k ~r ~wcol
   let k_ftran_pattern kern = match kern with K ((module B), k) -> B.ftran_pattern k
   let k_ftran_pattern_len kern = match kern with K ((module B), k) -> B.ftran_pattern_len k
@@ -91,6 +93,14 @@ module Make (F : Numeric.Field.S) = struct
      warm-start protocol; branch-and-bound fixes and responsibility-batch
      overlays both go through it.
 
+     Installing a delta costs its difference from the installed one, not
+     the model: the state remembers the fixes it installed, and a solve
+     touches only the columns whose bounds change (see [install_change]).
+     A full install — every bound re-blitted, every nonbasic status
+     re-derived, every basic value recomputed — runs on the first solve of
+     a state, after a reset or an infeasibility, and every
+     [full_install_period] incremental ones to bound float drift.
+
      Every objective coefficient is non-negative (enforced where programs
      are built), so the all-slack basis is a universally available
      dual-feasible reset point.
@@ -110,18 +120,30 @@ module Make (F : Numeric.Field.S) = struct
     salpha_stamp : int array;  (* validity stamp per [salpha] slot *)
     mutable salpha_stamp_val : int;
     stouched : int array;  (* scratch: columns touched by the alpha pass *)
+    sbrow_nz : int array;
+        (* scratch rows: where the pivot row [brow] is nonzero, and the
+           sparse read-out's candidate rows *)
+    mutable sbrow_n : int;
     scost : F.t array;
+    scost_nz : bool array;  (* cost <> 0, tested without reading [scost] *)
+    sinteger : bool array;  (* integrality flag per structural column *)
     sb : F.t array;
     base_lb : F.t array;
     base_ub : F.t option array;  (* None = +inf *)
-    lb : F.t array;  (* after the current delta *)
+    base_ub_int : int array;  (* structural base upper bounds, -1 = +inf *)
+    lb : F.t array;  (* after the installed delta *)
     ub : F.t option array;
     skern : basis_kernel;
     sbasis : int array;
+    spos : int array;  (* column -> its basis position, -1 when nonbasic *)
     sxb : F.t array;
-    s_in_basis : bool array;
     s_at_upper : bool array;
     sdarr : F.t array;  (* reduced costs, maintained across pivots/deltas *)
+    sy : F.t array;
+        (* Simplex multipliers y = c_B B^-1, so d_j = c_j - y·a_j: kept
+           current across pivots (y += theta · brow), recomputed with darr
+           on refactorisation, zero at the all-slack reset.  A column
+           released from a fix prices against it in O(column). *)
     (* Index of rows whose basic value violates a bound, maintained
        incrementally from the FTRAN pattern so the leaving-row choice scans
        candidates instead of every row.  [sviol_pos] maps a row to its slot
@@ -130,15 +152,32 @@ module Make (F : Numeric.Field.S) = struct
     sviol : int array;
     sviol_pos : int array;
     mutable sviol_n : int;
-    (* Pricing skip set: basic columns and columns fixed by the current
-       delta can never enter, so the alpha pass does not price them.  The
-       cost is that a fixed column's reduced cost goes stale during a solve
-       (its incremental dual update is skipped too); [sdarr_stale] records
-       that, and the next solve entry recomputes darr from the basis before
-       trusting signs.  [sfixed] caches the per-delta fixed test. *)
+    (* Pricing skip set: basic columns and fixed columns (by the base or the
+       installed delta) can never enter, so the alpha pass does not price
+       them, and [sskip] is kept current column by column as the basis and
+       the installed fixes change.  The cost is that a fixed column's
+       reduced cost goes stale (its incremental dual update is skipped
+       too).  An incremental install re-prices just the columns it
+       releases, against [sy]; [sdarr_stale] records that some fixed
+       column is stale, and only a full install refreshes every reduced
+       cost from the basis.  [sfixed] caches the fixed test. *)
     sskip : bool array;
     sfixed : bool array;
     mutable sdarr_stale : bool;
+    (* The installed delta: [sdfix] holds each structural's fixed value (-1
+       when the delta leaves it at its base bounds), [sfix_cols] lists the
+       fixed columns.  The [snext_*]/[sseen]/[schanged] arrays are scratch
+       for diffing an incoming delta against it. *)
+    sdfix : int array;
+    mutable sfix_cols : int array;
+    mutable sfix_n : int;
+    mutable snext_cols : int array;
+    snext_k : int array;
+    sseen : int array;
+    mutable sseen_val : int;
+    schanged : int array;
+    mutable sincremental : int;  (* incremental installs since the last full one *)
+    mutable sneed_full : bool;  (* the next install must be a full one *)
     mutable stotal_pivots : int;
         (* Lifetime pivot count; never reset.  Per-session (not a global
            counter) so parallel batches can report per-solve deltas without
@@ -146,26 +185,37 @@ module Make (F : Numeric.Field.S) = struct
     mutable srefactors : int;  (* lifetime refactorisation count *)
   }
 
+  (* Incremental installs between two full ones.  Each incremental install
+     shifts the basic values by a few FTRANs and re-prices released columns
+     against the maintained multipliers; the periodic full install
+     recomputes both from the factorisation, so rounding cannot pile up
+     over a long batch that rarely refactorises. *)
+  let full_install_period = 64
+
   (* Slack of row i carries coefficient [slack_sign i]: +1 for <= and =,
      -1 for >= (so the slack itself lives in [0, +inf), or [0,0] for =). *)
   let slack_sign fz i =
     match Frozen.row_sense fz i with Model.Leq | Model.Eq -> F.one | Model.Geq -> F.neg F.one
 
   (* Reset to the all-slack basis: reduced costs equal the raw costs (slack
-     costs are zero) and every structural column sits at its lower bound —
-     dual feasible because all costs are non-negative.  The all-slack basis
-     matrix is diagonal (+-1), so the kernel refactor cannot fail. *)
+     costs are zero, so are the multipliers) and every structural column
+     sits at its lower bound — dual feasible because all costs are
+     non-negative.  The all-slack basis matrix is diagonal (+-1), so the
+     kernel refactor cannot fail. *)
   let session_reset s =
     let n = s.snrows in
+    Array.fill s.spos 0 (Array.length s.spos) (-1);
     for i = 0 to n - 1 do
-      s.sbasis.(i) <- s.snstruct + i
+      s.sbasis.(i) <- s.snstruct + i;
+      s.spos.(s.snstruct + i) <- i
     done;
     Array.fill s.s_at_upper 0 s.sncols false;
     for j = 0 to s.sncols - 1 do
-      s.s_in_basis.(j) <- j >= s.snstruct;
-      s.sskip.(j) <- s.sfixed.(j) || j >= s.snstruct;
-      s.sdarr.(j) <- s.scost.(j)
+      s.sskip.(j) <- s.sfixed.(j) || j >= s.snstruct
     done;
+    Array.blit s.scost 0 s.sdarr 0 s.sncols;
+    Array.fill s.sy 0 n F.zero;
+    s.sneed_full <- true;
     k_refactor s.skern s.sbasis
 
   let create_state ?(kernel = `Auto) fz =
@@ -228,24 +278,42 @@ module Make (F : Numeric.Field.S) = struct
         salpha_stamp = Array.make (max 1 ncols) 0;
         salpha_stamp_val = 0;
         stouched = Array.make (max 1 ncols) 0;
+        sbrow_nz = Array.make (max 1 nrows) 0;
+        sbrow_n = 0;
         scost;
+        scost_nz = Array.init (max 1 ncols) (fun j -> j < nstruct && Frozen.objective fz j <> 0);
+        sinteger = Array.init (max 1 nstruct) (fun v -> v < nstruct && Frozen.is_integer fz v);
         sb = Array.init (max 1 nrows) (fun i -> if i < nrows then F.of_int (Frozen.row_rhs fz i) else F.zero);
         base_lb;
         base_ub;
+        base_ub_int =
+          Array.init (max 1 nstruct) (fun v ->
+              if v < nstruct then Option.value ~default:(-1) (Frozen.upper fz v) else -1);
         lb = Array.copy base_lb;
         ub = Array.copy base_ub;
         skern = make_kernel kernel ~nrows ~col:(fun j -> scols.(j));
         sbasis = Array.make (max 1 nrows) 0;
+        spos = Array.make (max 1 ncols) (-1);
         sxb = Array.make (max 1 nrows) F.zero;
-        s_in_basis = Array.make (max 1 ncols) false;
         s_at_upper = Array.make (max 1 ncols) false;
         sdarr = Array.make (max 1 ncols) F.zero;
+        sy = Array.make (max 1 nrows) F.zero;
         sviol = Array.make (max 1 nrows) 0;
         sviol_pos = Array.make (max 1 nrows) (-1);
         sviol_n = 0;
         sskip = Array.make (max 1 ncols) false;
         sfixed = Array.make (max 1 ncols) false;
         sdarr_stale = false;
+        sdfix = Array.make (max 1 nstruct) (-1);
+        sfix_cols = Array.make (max 1 nstruct) 0;
+        sfix_n = 0;
+        snext_cols = Array.make (max 1 nstruct) 0;
+        snext_k = Array.make (max 1 nstruct) (-1);
+        sseen = Array.make (max 1 nstruct) 0;
+        sseen_val = 0;
+        schanged = Array.make (max 1 nstruct) 0;
+        sincremental = 0;
+        sneed_full = true;
         stotal_pivots = 0;
         srefactors = 0;
       }
@@ -292,12 +360,15 @@ module Make (F : Numeric.Field.S) = struct
       s.sviol_n <- s.sviol_n - 1
     end
 
-  (* xb = Binv (b - N x_N): valid whenever the kernel matches the basis. *)
+  (* xb = Binv (b - N x_N): valid whenever the kernel matches the basis.
+     Base lower bounds are zero, so a nonbasic column is nonzero only at its
+     upper bound or at a positive fix of the installed delta; the flags
+     pick those out before any value is read. *)
   let session_compute_xb s =
     let n = s.snrows in
     let rhs = Array.sub s.sb 0 n in
     for j = 0 to s.sncols - 1 do
-      if not s.s_in_basis.(j) then begin
+      if s.spos.(j) < 0 && (s.s_at_upper.(j) || (j < s.snstruct && s.sdfix.(j) > 0)) then begin
         let v = session_nb_value s j in
         if F.sign v <> 0 then
           List.iter (fun (i, c) -> rhs.(i) <- F.sub rhs.(i) (F.mul c v)) s.scols.(j)
@@ -314,8 +385,9 @@ module Make (F : Numeric.Field.S) = struct
       cb.(i) <- s.scost.(s.sbasis.(i))
     done;
     let y = k_btran s.skern cb in
+    Array.blit y 0 s.sy 0 n;
     for j = 0 to s.sncols - 1 do
-      if s.s_in_basis.(j) then s.sdarr.(j) <- F.zero
+      if s.spos.(j) >= 0 then s.sdarr.(j) <- F.zero
       else begin
         let acc = ref s.scost.(j) in
         List.iter (fun (i, c) -> acc := F.sub !acc (F.mul y.(i) c)) s.scols.(j);
@@ -435,13 +507,19 @@ module Make (F : Numeric.Field.S) = struct
            test and the dual update scan candidates, not all columns.  The
            candidate list is sorted so the scan order — and hence every
            tie-break, including Bland's smallest-index rule — matches the
-           plain column sweep it replaces. *)
+           plain column sweep it replaces.  The rows come from the kernel's
+           ascending pattern of [brow] when it tracks one (the same rows in
+           the same order as a sweep, at the cost of the pattern), and are
+           kept for the multiplier update. *)
         s.salpha_stamp_val <- s.salpha_stamp_val + 1;
         let stamp = s.salpha_stamp_val in
         let ntouched = ref 0 in
-        for i = 0 to n - 1 do
+        s.sbrow_n <- 0;
+        let price_row i =
           let bi = brow.(i) in
           if F.sign bi <> 0 then begin
+            s.sbrow_nz.(s.sbrow_n) <- i;
+            s.sbrow_n <- s.sbrow_n + 1;
             let rj = s.srow_j.(i) and rv = s.srow_v.(i) in
             for k = 0 to Array.length rj - 1 do
               let jc = rj.(k) in
@@ -457,7 +535,18 @@ module Make (F : Numeric.Field.S) = struct
               end
             done
           end
-        done;
+        in
+        let blen = k_btran_unit_pattern_len s.skern in
+        if blen >= 0 then begin
+          let bpat = k_btran_unit_pattern s.skern in
+          for idx = 0 to blen - 1 do
+            price_row bpat.(idx)
+          done
+        end
+        else
+          for i = 0 to n - 1 do
+            price_row i
+          done;
         let cand = Array.sub s.stouched 0 !ntouched in
         Array.sort compare cand;
         (* Dual ratio test: an entering candidate must move x_B(r) towards
@@ -471,7 +560,7 @@ module Make (F : Numeric.Field.S) = struct
         let j = ref 0 in
         while !j < Array.length cand && not (!bland && !enter >= 0) do
           let jj = cand.(!j) in
-          if (not s.s_in_basis.(jj)) && not s.sfixed.(jj) then begin
+          if s.spos.(jj) < 0 && not s.sfixed.(jj) then begin
             let a = s.salpha.(jj) in
             let ra = F.mul rho a in
             let eligible, ratio =
@@ -531,30 +620,32 @@ module Make (F : Numeric.Field.S) = struct
                (* The pattern covers every nonzero of [wcol]: the basic
                   values move only there (same guard as {!F.axpy} — skip a
                   zero multiplier entirely). *)
-               if F.compare nstep F.zero <> 0 then begin
-                 let pat = k_ftran_pattern s.skern in
-                 for idx = 0 to plen - 1 do
-                   let i = pat.(idx) in
-                   s.sxb.(i) <- F.add s.sxb.(i) (F.mul nstep wcol.(i))
-                 done
-               end
+               if F.compare nstep F.zero <> 0 then
+                 F.axpy_at nstep wcol (k_ftran_pattern s.skern) plen s.sxb
              end
              else F.axpy nstep wcol s.sxb);
             (* Dual update before the basis update (alpha reads the row of
-               the pre-pivot inverse, captured in [brow]). *)
+               the pre-pivot inverse, captured in [brow]).  The multipliers
+               follow the reduced costs: d' = d - theta · alpha with
+               alpha = brow · a, so y' = y + theta · brow. *)
             let theta = F.div s.sdarr.(q) wcol.(r) in
-            if F.sign theta <> 0 then
+            if F.sign theta <> 0 then begin
               Array.iter
                 (fun k ->
-                  if (not s.s_in_basis.(k)) && k <> q then
+                  if s.spos.(k) < 0 && k <> q then
                     s.sdarr.(k) <- F.sub s.sdarr.(k) (F.mul theta s.salpha.(k)))
                 cand;
+              for idx = 0 to s.sbrow_n - 1 do
+                let i = s.sbrow_nz.(idx) in
+                s.sy.(i) <- F.add s.sy.(i) (F.mul theta brow.(i))
+              done
+            end;
             s.sdarr.(jb_leave) <- F.neg theta;
             s.sdarr.(q) <- F.zero;
-            s.s_in_basis.(jb_leave) <- false;
+            s.spos.(jb_leave) <- -1;
             s.sskip.(jb_leave) <- s.sfixed.(jb_leave);
             s.s_at_upper.(jb_leave) <- F.sign rho < 0;
-            s.s_in_basis.(q) <- true;
+            s.spos.(q) <- r;
             s.sskip.(q) <- true;
             s.sbasis.(r) <- q;
             s.sxb.(r) <- entering_value;
@@ -577,50 +668,74 @@ module Make (F : Numeric.Field.S) = struct
     done;
     !result
 
-  let session_extract s =
-    let nvars = s.snstruct in
-    let x = Array.make nvars F.zero in
-    for j = 0 to nvars - 1 do
-      if not s.s_in_basis.(j) then x.(j) <- session_nb_value s j
-    done;
-    for r = 0 to s.snrows - 1 do
-      if s.sbasis.(r) < nvars then x.(s.sbasis.(r)) <- s.sxb.(r)
-    done;
-    let objective = ref F.zero in
-    for v = 0 to nvars - 1 do
-      if F.sign s.scost.(v) <> 0 then objective := F.add !objective (F.mul s.scost.(v) x.(v))
-    done;
-    Optimal { objective = !objective; solution = x }
+  (* ----- Installing a delta ---------------------------------------------- *)
 
-  let state_solve s delta =
-    (* Install the delta over the base bounds. *)
-    Array.blit s.base_lb 0 s.lb 0 (max 1 s.sncols);
-    Array.blit s.base_ub 0 s.ub 0 (max 1 s.sncols);
-    let infeasible_fix = ref false in
-    List.iter
-      (fun (v, k) ->
+  (* Stamps the delta's fixed columns and records them in [snext_*];
+     [true] when a fix lies above its column's base upper bound (the delta
+     is infeasible without a solve).  Touches no bound. *)
+  let scan_delta s delta =
+    s.sseen_val <- s.sseen_val + 1;
+    let stamp = s.sseen_val in
+    let bad = ref false in
+    let n = ref 0 in
+    Frozen.Delta.iter_fixes
+      (fun v k ->
         if v < 0 || v >= s.snstruct then invalid_arg "Simplex.session_solve: unknown variable";
-        let kf = F.of_int k in
-        (match s.base_ub.(v) with
-        | Some u when F.compare kf u > 0 -> infeasible_fix := true
-        | _ -> ());
-        s.lb.(v) <- kf;
-        s.ub.(v) <- Some kf)
-      (Frozen.Delta.bindings delta);
-    if !infeasible_fix then Infeasible
-    else if s.snrows = 0 then begin
-      (* No rows: every variable sits at its lower bound. *)
-      let x = Array.init s.snstruct (fun v -> s.lb.(v)) in
-      let objective = ref F.zero in
-      for v = 0 to s.snstruct - 1 do
-        if F.sign s.scost.(v) <> 0 then objective := F.add !objective (F.mul s.scost.(v) x.(v))
-      done;
-      Optimal { objective = !objective; solution = x }
-    end
-    else begin
-      (* The previous solve skipped dual updates on its fixed columns;
-         their reduced costs cannot be trusted until recomputed from the
-         basis. *)
+        let u = s.base_ub_int.(v) in
+        if u >= 0 && k > u then bad := true;
+        s.sseen.(v) <- stamp;
+        s.snext_k.(v) <- k;
+        s.snext_cols.(!n) <- v;
+        incr n)
+      delta;
+    (!bad, !n)
+
+  (* The incoming fix list becomes the installed one. *)
+  let adopt_fixes s nfix =
+    let cols = s.sfix_cols in
+    s.sfix_cols <- s.snext_cols;
+    s.snext_cols <- cols;
+    s.sfix_n <- nfix
+
+  (* Snap every nonbasic column to the bound its reduced-cost sign prefers
+     (fixed columns to their single bound) and rebuild the skip set.  d < 0
+     with no finite upper can only be left over from a previously-fixed
+     column; the all-slack reset recovers dual feasibility in that case. *)
+  let repair_nonbasic s =
+    (try
+       for j = 0 to s.sncols - 1 do
+         if s.spos.(j) < 0 then
+           if s.sfixed.(j) then s.s_at_upper.(j) <- false
+           else if F.sign s.sdarr.(j) >= 0 then s.s_at_upper.(j) <- false
+           else
+             match s.ub.(j) with
+             | Some _ -> s.s_at_upper.(j) <- true
+             | None -> raise Exit
+       done
+     with Exit -> session_reset s);
+    for j = 0 to s.sncols - 1 do
+      s.sskip.(j) <- s.sfixed.(j) || s.spos.(j) >= 0
+    done
+
+  (* Full install of the adopted fix list (values in [snext_k]): every
+     bound from the base plus the fixes, every reduced cost refreshed if
+     stale, every nonbasic status re-derived, every basic value
+     recomputed. *)
+  let install_full s =
+    Array.blit s.base_lb 0 s.lb 0 (Array.length s.lb);
+    Array.blit s.base_ub 0 s.ub 0 (Array.length s.ub);
+    Array.fill s.sdfix 0 (Array.length s.sdfix) (-1);
+    for i = 0 to s.sfix_n - 1 do
+      let v = s.sfix_cols.(i) in
+      let k = s.snext_k.(v) in
+      let kf = F.of_int k in
+      s.sdfix.(v) <- k;
+      s.lb.(v) <- kf;
+      s.ub.(v) <- Some kf
+    done;
+    if s.snrows > 0 then begin
+      (* Fixed columns skipped dual updates; their reduced costs cannot be
+         trusted until recomputed from the basis. *)
       if s.sdarr_stale then session_refresh_darr s;
       let has_fixed = ref false in
       for j = 0 to s.sncols - 1 do
@@ -629,67 +744,225 @@ module Make (F : Numeric.Field.S) = struct
         if fx then has_fixed := true
       done;
       s.sdarr_stale <- !has_fixed;
-      (* Repair nonbasic positions for dual feasibility under the new
-         bounds: fixed columns sit at their (single) bound, otherwise the
-         reduced-cost sign picks the bound.  d < 0 with no finite upper can
-         only be left over from a previously-fixed column; the all-slack
-         reset recovers dual feasibility in that case. *)
-      (try
-         for j = 0 to s.sncols - 1 do
-           if not s.s_in_basis.(j) then
-             if s.sfixed.(j) then s.s_at_upper.(j) <- false
-             else if F.sign s.sdarr.(j) >= 0 then s.s_at_upper.(j) <- false
-             else
-               match s.ub.(j) with
-               | Some _ -> s.s_at_upper.(j) <- true
-               | None -> raise Exit
-         done
-       with Exit -> session_reset s);
-      for j = 0 to s.sncols - 1 do
-        s.sskip.(j) <- s.sfixed.(j) || s.s_in_basis.(j)
-      done;
-      session_compute_xb s;
-      match session_run s with
-      | `Optimal -> session_extract s
-      | `Infeasible when k_etas s.skern = 0 ->
-        (* The verdict was reached on a freshly factorised basis — no update
-           drift to distrust. *)
-        Infeasible
-      | `Infeasible ->
-        (* Never trust an infeasibility verdict reached on a basis with
-           updates on it: accumulated drift in the factors/darr can hide
-           every eligible entering column.  Re-derive on a fresh
-           factorisation of the *current* basis — exact factors, exactly
-           recomputed duals and basics — which removes the drift while
-           keeping the warm start (an all-slack restart here would pay a
-           full cold solve per infeasible node). *)
-        (match session_refactorize s with
-        | () ->
-          (* The exact duals can flip a nonbasic bound status; repair it
-             exactly as the solve entry does, then rebuild the basics the
-             repair may have moved. *)
-          (try
-             for j = 0 to s.sncols - 1 do
-               if not s.s_in_basis.(j) then
-                 if s.sfixed.(j) then s.s_at_upper.(j) <- false
-                 else if F.sign s.sdarr.(j) >= 0 then s.s_at_upper.(j) <- false
-                 else
-                   match s.ub.(j) with
-                   | Some _ -> s.s_at_upper.(j) <- true
-                   | None -> raise Exit
-             done
-           with Exit -> session_reset s);
-          for j = 0 to s.sncols - 1 do
-            s.sskip.(j) <- s.sfixed.(j) || s.s_in_basis.(j)
-          done;
-          session_compute_xb s
-        | exception Session_singular ->
-          (* session_reset already restored the all-slack state. *)
-          ());
-        (match session_run s with
-        | `Infeasible -> Infeasible
-        | `Optimal -> session_extract s)
+      repair_nonbasic s;
+      session_compute_xb s
+    end;
+    s.sincremental <- 0;
+    s.sneed_full <- false
+
+  exception Needs_full
+
+  (* d_j = c_j - y·a_j from the maintained multipliers. *)
+  let reduced_cost s j =
+    List.fold_left (fun acc (i, c) -> F.sub acc (F.mul s.sy.(i) c)) s.scost.(j) s.scols.(j)
+
+  (* Move the nonbasic column [j] by [step]: x_B = B^-1 (b - N x_N), so the
+     basic values shift by -step · B^-1 a_j — one FTRAN, applied and
+     re-checked along its pattern. *)
+  let shift_basics s j step =
+    let w = k_ftran s.skern s.scols.(j) in
+    let plen = k_ftran_pattern_len s.skern in
+    if plen >= 0 then begin
+      let pat = k_ftran_pattern s.skern in
+      F.axpy_at (F.neg step) w pat plen s.sxb;
+      for idx = 0 to plen - 1 do
+        session_update_viol s pat.(idx)
+      done
     end
+    else begin
+      F.axpy (F.neg step) w s.sxb;
+      session_rebuild_viol s
+    end
+
+  (* One column's bounds change to the fix [k] (-1: back to its base
+     bounds).  A basic column only needs its row re-checked.  A nonbasic
+     one is re-snapped — to its single bound when fixed, otherwise by the
+     sign of its reduced cost, re-priced if the fix had left it stale — and
+     the basic values follow its move.  Raises [Needs_full] when a released
+     column is dual infeasible with no finite bound to sit at. *)
+  let install_change s j k =
+    let r = s.spos.(j) in
+    let old_value = if r < 0 then session_nb_value s j else F.zero in
+    let was_fixed = s.sfixed.(j) in
+    s.sdfix.(j) <- k;
+    if k >= 0 then begin
+      let kf = F.of_int k in
+      s.lb.(j) <- kf;
+      s.ub.(j) <- Some kf
+    end
+    else begin
+      s.lb.(j) <- s.base_lb.(j);
+      s.ub.(j) <- s.base_ub.(j)
+    end;
+    let fx = session_fixed s j in
+    s.sfixed.(j) <- fx;
+    if r >= 0 then session_update_viol s r
+    else begin
+      s.sskip.(j) <- fx;
+      (if fx then s.s_at_upper.(j) <- false
+       else begin
+         if was_fixed then s.sdarr.(j) <- reduced_cost s j;
+         if F.sign s.sdarr.(j) >= 0 then s.s_at_upper.(j) <- false
+         else match s.ub.(j) with Some _ -> s.s_at_upper.(j) <- true | None -> raise Needs_full
+       end);
+      let step = F.sub (session_nb_value s j) old_value in
+      if F.sign step <> 0 then shift_basics s j step
+    end
+
+  (* Incremental install: diff the scanned delta against the installed one
+     — columns it fixes to a new value, columns the installed delta fixed
+     and it does not — and apply only those changes. *)
+  let install_incremental s nfix =
+    let stamp = s.sseen_val in
+    let nchg = ref 0 in
+    for i = 0 to nfix - 1 do
+      let v = s.snext_cols.(i) in
+      if s.sdfix.(v) <> s.snext_k.(v) then begin
+        s.schanged.(!nchg) <- v;
+        incr nchg
+      end
+    done;
+    for i = 0 to s.sfix_n - 1 do
+      let v = s.sfix_cols.(i) in
+      if s.sseen.(v) <> stamp then begin
+        s.snext_k.(v) <- -1;
+        s.schanged.(!nchg) <- v;
+        incr nchg
+      end
+    done;
+    adopt_fixes s nfix;
+    for c = 0 to !nchg - 1 do
+      let v = s.schanged.(c) in
+      install_change s v s.snext_k.(v)
+    done;
+    if nfix > 0 then s.sdarr_stale <- true;
+    s.sincremental <- s.sincremental + 1
+
+  let install s nfix =
+    if s.sneed_full || s.snrows = 0 || s.sincremental >= full_install_period then begin
+      adopt_fixes s nfix;
+      install_full s
+    end
+    else
+      (* A dual-infeasible release abandons the diff half way; the fix list
+         is already adopted and [snext_k] still holds its values. *)
+      try install_incremental s nfix with Needs_full -> install_full s
+
+  (* Install the delta and run; [`Infeasible] on a fix above a base upper
+     bound without solving. *)
+  let state_solve s delta =
+    let infeasible_fix, nfix = scan_delta s delta in
+    if infeasible_fix then begin
+      s.sneed_full <- true;
+      `Infeasible
+    end
+    else begin
+      install s nfix;
+      if s.snrows = 0 then `Optimal
+      else
+        match session_run s with
+        | `Optimal -> `Optimal
+        | `Infeasible when k_etas s.skern = 0 ->
+          (* The verdict was reached on a freshly factorised basis — no
+             update drift to distrust. *)
+          s.sneed_full <- true;
+          `Infeasible
+        | `Infeasible ->
+          (* Never trust an infeasibility verdict reached on a basis with
+             updates on it: accumulated drift in the factors/darr can hide
+             every eligible entering column.  Re-derive on a fresh
+             factorisation of the *current* basis — exact factors, exactly
+             recomputed duals and basics — which removes the drift while
+             keeping the warm start (an all-slack restart here would pay a
+             full cold solve per infeasible node). *)
+          (match session_refactorize s with
+          | () ->
+            (* The exact duals can flip a nonbasic bound status; repair it
+               exactly as a full install does, then rebuild the basics the
+               repair may have moved. *)
+            repair_nonbasic s;
+            session_compute_xb s
+          | exception Session_singular ->
+            (* session_reset already restored the all-slack state. *)
+            ());
+          let r = session_run s in
+          if r = `Infeasible then s.sneed_full <- true;
+          r
+    end
+
+  type sparse_outcome =
+    | Sparse_optimal of {
+        objective : F.t;
+        support : Model.var array;
+        values : F.t array;
+        integral : bool;
+      }
+    | Sparse_infeasible
+
+  (* Sparse read-out: the basic rows holding a structural column at a
+     nonzero value (found by one unboxed scan), plus the nonbasic columns
+     sitting at their upper bound; every other nonbasic column is at zero
+     or at the value the installed delta fixes it to.  Integrality needs
+     only the nonzero basic integer columns — nonbasic ones sit at integer
+     bounds. *)
+  let session_extract_sparse s =
+    let nvars = s.snstruct in
+    let rows = s.sbrow_nz in
+    let m = ref 0 in
+    for r = 0 to s.snrows - 1 do
+      if s.sbasis.(r) < nvars then begin
+        rows.(!m) <- r;
+        incr m
+      end
+    done;
+    let m = F.drop_zeros s.sxb rows !m in
+    let objective = ref F.zero in
+    let integral = ref true in
+    let count = ref 0 in
+    for k = 0 to m - 1 do
+      let r = rows.(k) in
+      let j = s.sbasis.(r) in
+      let x = s.sxb.(r) in
+      if s.sinteger.(j) && not (F.is_integral x) then integral := false;
+      if s.scost_nz.(j) then objective := F.add !objective (F.mul s.scost.(j) x);
+      (* Keep the rows that enter the support at the front of [rows]. *)
+      if s.sdfix.(j) < 0 then begin
+        rows.(!count) <- r;
+        incr count
+      end
+    done;
+    let nbasic = !count in
+    (* A fixed column can leave the basis at its upper bound; the delta's
+       fixed columns are read from the fix list below, never here. *)
+    let at_upper j = s.spos.(j) < 0 && s.s_at_upper.(j) && s.sdfix.(j) < 0 in
+    for j = 0 to nvars - 1 do
+      if at_upper j && not (F.is_zero (session_nb_value s j)) then incr count
+    done;
+    let support = Array.make !count 0 in
+    let values = Array.make !count F.zero in
+    for k = 0 to nbasic - 1 do
+      let r = rows.(k) in
+      support.(k) <- s.sbasis.(r);
+      values.(k) <- s.sxb.(r)
+    done;
+    let k = ref nbasic in
+    for j = 0 to nvars - 1 do
+      if at_upper j then begin
+        let x = session_nb_value s j in
+        if s.scost_nz.(j) then objective := F.add !objective (F.mul s.scost.(j) x);
+        if not (F.is_zero x) then begin
+          support.(!k) <- j;
+          values.(!k) <- x;
+          incr k
+        end
+      end
+    done;
+    for i = 0 to s.sfix_n - 1 do
+      let j = s.sfix_cols.(i) in
+      if s.spos.(j) < 0 && s.scost_nz.(j) then
+        objective := F.add !objective (F.mul s.scost.(j) s.lb.(j))
+    done;
+    Sparse_optimal { objective = !objective; support; values; integral = !integral }
 
   (* ----- Public sessions: append absorption over the compiled state ----
      A [session] remembers the base frozen program and which appends its
@@ -745,12 +1018,12 @@ module Make (F : Numeric.Field.S) = struct
       for i = old.snrows to st.snrows - 1 do
         st.sbasis.(i) <- st.snstruct + i
       done;
-      Array.fill st.s_in_basis 0 st.sncols false;
+      Array.fill st.spos 0 (Array.length st.spos) (-1);
       for i = 0 to st.snrows - 1 do
-        st.s_in_basis.(st.sbasis.(i)) <- true
+        st.spos.(st.sbasis.(i)) <- i
       done;
-      (* Nonbasic bound statuses are re-derived from the refreshed reduced
-         costs at the next solve entry, so none are copied here. *)
+      (* Nonbasic bound statuses and the multipliers are re-derived at the
+         next solve's full install, so none are copied here. *)
       match k_refactor st.skern st.sbasis with
       | () -> st.sdarr_stale <- true
       | exception Basis.Singular -> session_reset st
@@ -758,9 +1031,27 @@ module Make (F : Numeric.Field.S) = struct
     sess.ses_st <- st;
     sess.ses_abs <- delta
 
-  let session_solve sess delta =
+  let session_state sess delta =
     if not (Frozen.Delta.same_appends delta sess.ses_abs) then session_absorb sess delta;
-    state_solve sess.ses_st delta
+    sess.ses_st
+
+  let session_solve_sparse sess delta =
+    let st = session_state sess delta in
+    match state_solve st delta with
+    | `Optimal -> session_extract_sparse st
+    | `Infeasible -> Sparse_infeasible
+
+  let point ~nvars delta support values =
+    let x = Array.make nvars F.zero in
+    Frozen.Delta.iter_fixes (fun v k -> x.(v) <- F.of_int k) delta;
+    Array.iteri (fun k v -> x.(v) <- values.(k)) support;
+    x
+
+  let session_solve sess delta =
+    match session_solve_sparse sess delta with
+    | Sparse_optimal { objective; support; values; integral = _ } ->
+      Optimal { objective; solution = point ~nvars:sess.ses_st.snstruct delta support values }
+    | Sparse_infeasible -> Infeasible
 
   let solve_frozen ?(delta = Frozen.Delta.empty) ?kernel fz =
     session_solve (create_session ?kernel fz) delta

@@ -17,8 +17,9 @@
     rows).  Every objective coefficient is non-negative — {!Model.add_var},
     {!Frozen.make} and {!Frozen.Delta.append_col} reject anything else — so
     the all-slack basis is dual feasible and the LP is never unbounded.
-    Integrality flags are ignored here — this is the relaxation; see
-    {!Branch_bound} for ILP/MILP solving. *)
+    Integrality flags do not constrain the solve — this is the relaxation;
+    see {!Branch_bound} for ILP/MILP solving — and are read only by
+    {!Make.session_solve_sparse}'s integral test. *)
 
 module Make (F : Numeric.Field.S) : sig
   type outcome =
@@ -26,9 +27,6 @@ module Make (F : Numeric.Field.S) : sig
         (** [solution] is indexed by frozen variable (fixed variables
             included at their fixed value). *)
     | Infeasible
-
-  val integral_on : F.t array -> Model.var list -> bool
-  (** Are all listed coordinates integral (within the field tolerance)? *)
 
   (** {1 Frozen sessions}
 
@@ -39,7 +37,9 @@ module Make (F : Numeric.Field.S) : sig
       dual simplex.  Because a delta changes only bounds, the basis and
       reduced costs of the previous solve remain dual feasible, so every
       solve after the first warm-starts from the previous optimum instead
-      of the all-slack basis. *)
+      of the all-slack basis.  A solve installs only the difference between
+      its delta and the previous one, so a warm question costs its change,
+      not the program. *)
 
   type session
 
@@ -60,10 +60,38 @@ module Make (F : Numeric.Field.S) : sig
   val session_kernel : session -> string
   (** Name of the session's basis kernel (["sparse-lu"] or ["dense"]). *)
 
+  type sparse_outcome =
+    | Sparse_optimal of {
+        objective : F.t;
+        support : Model.var array;
+            (** The variables the delta does {e not} fix whose value is
+                nonzero, in no particular order.  Every other variable is
+                zero or at the value the delta fixes it to. *)
+        values : F.t array;  (** [values.(k)] is the value of [support.(k)]. *)
+        integral : bool;
+            (** Every integer variable is integral (within the field
+                tolerance). *)
+      }
+    | Sparse_infeasible
+
+  val session_solve_sparse : session -> Frozen.Delta.t -> sparse_outcome
+  (** Solve the frozen program under the delta, warm-starting from whatever
+      basis the previous call left behind, and read the optimum out in
+      proportion to its support, not to the program: the basic rows and
+      the nonbasic variables at a nonzero upper bound.  A fix above a
+      variable's base upper bound is [Sparse_infeasible].  Appends are
+      absorbed as described at {!session_solve}. *)
+
+  val point : nvars:int -> Frozen.Delta.t -> Model.var array -> F.t array -> F.t array
+  (** [point ~nvars delta support values] is the full solution vector of a
+      sparse read-out over [nvars] variables: the delta's fixes, then the
+      support, zero elsewhere. *)
+
   val session_solve : session -> Frozen.Delta.t -> outcome
   (** Solve the frozen program under the delta, warm-starting from
-      whatever basis the previous call left behind.  [solution] is indexed
-      by frozen variable.  A fix above a variable's base upper bound is
+      whatever basis the previous call left behind: {!session_solve_sparse}
+      with its read-out spread into a vector indexed by frozen
+      variable.  A fix above a variable's base upper bound is
       [Infeasible].
 
       When the delta carries row/column appends ({!Frozen.Delta.append_row},

@@ -18,12 +18,16 @@ module Exact_bb = Branch_bound.Make (Numeric.Field.Rat_field)
     exact engine's integral flag is exact. *)
 module Engine = struct
   type result = Float_bb.result
+  type relaxation = Float_bb.relaxation
 
   module type S = sig
     type session
 
     val create : ?kernel:Basis.choice -> Frozen.t -> session
-    val relax : Frozen.Delta.t -> session -> [ `Optimal of float * float array * bool | `Infeasible ]
+
+    val relax :
+      Frozen.Delta.t -> session -> [ `Optimal of relaxation | `Infeasible ] * Branch_bound.work
+
     val solve : ?node_limit:int -> ?time_limit:float -> Frozen.Delta.t -> session -> result
   end
 
@@ -45,8 +49,11 @@ module Engine = struct
 
     let relax delta s =
       match Exact_bb.relax ~delta s with
-      | `Optimal (obj, x, integral) -> `Optimal (f obj, Array.map f x, integral)
-      | `Infeasible -> `Infeasible
+      | `Optimal { Exact_bb.objective; support; values; integral }, work ->
+        ( `Optimal
+            { Float_bb.objective = f objective; support; values = Array.map f values; integral },
+          work )
+      | `Infeasible, work -> (`Infeasible, work)
 
     let solve ?node_limit ?time_limit delta s =
       let r = Exact_bb.solve_session ?node_limit ?time_limit ~delta s in
@@ -68,7 +75,8 @@ module Engine = struct
     if exact then E ((module Exact_engine), Exact_engine.create ?kernel fz)
     else E ((module Float_engine), Float_engine.create ?kernel fz)
 
-  (** The LP relaxation under the delta, with the integral-optimum flag. *)
+  (** The LP relaxation under the delta, read out sparsely, with the
+      integral-optimum flag and the simplex work it spent. *)
   let relax ?(delta = Frozen.Delta.empty) (E ((module M), s)) = M.relax delta s
 
   (** Branch-and-bound under the delta (see {!Branch_bound.Make.solve_session}). *)

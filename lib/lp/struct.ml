@@ -402,10 +402,10 @@ let fractional_on ~eps x vars =
   List.filter (fun v -> Float.abs (x.(v) -. Float.round x.(v)) > eps) vars
 
 let probe_root_lp ?delta ~eps fz =
-  let session = Solvers.Float_bb.create_session fz in
-  match Solvers.Float_bb.relax ?delta session with
-  | `Optimal (obj, x, _) -> Some (obj, x, List.length (fractional_on ~eps x (Frozen.integer_vars fz)))
-  | `Infeasible -> None
+  match Solvers.Float_simplex.solve_frozen ?delta fz with
+  | Solvers.Float_simplex.Optimal { objective; solution = x } ->
+    Some (objective, x, List.length (fractional_on ~eps x (Frozen.integer_vars fz)))
+  | Solvers.Float_simplex.Infeasible -> None
 
 (* --- Verification ------------------------------------------------------------ *)
 

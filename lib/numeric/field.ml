@@ -23,6 +23,9 @@ module type S = sig
   (** [-1], [0] or [1], up to the instance's tolerance: the float instance
       treats magnitudes below its epsilon as zero. *)
 
+  val is_zero : t -> bool
+  (** Exactly zero, with no tolerance. *)
+
   val pivot_tol : t
   (** Minimum magnitude the simplex accepts for a pivot element: large
       enough to keep the float basis inverse well-conditioned, exactly zero
@@ -53,6 +56,23 @@ module type S = sig
   (** Divide every element by a scalar. *)
 
   val dot : t array -> t array -> t
+
+  val axpy_at : t -> t array -> int array -> int -> t array -> unit
+  (** [axpy_at a x idx n y] adds [a * x.(i)] into [y.(i)] at each of the
+      first [n] positions [i] of [idx]; no-op when [a] = 0. *)
+
+  val scatter_sub : t array -> int array -> t array -> t -> unit
+  (** [scatter_sub y idx v a] subtracts [v.(k) * a] from [y.(idx.(k))] for
+      every [k]: the column step of a sparse triangular or eta solve. *)
+
+  val gather_sub : t -> int array -> t array -> t array -> t
+  (** [gather_sub acc idx v x] subtracts [v.(k) * x.(idx.(k))] from [acc]
+      for every [k] in order, skipping the [k] where [sign x.(idx.(k)) = 0]:
+      the row step of a sparse transposed solve. *)
+
+  val drop_zeros : t array -> int array -> int -> int
+  (** [drop_zeros x idx n] keeps, in order, the first [n] positions of
+      [idx] at which [x] is not exactly zero, and returns how many. *)
 end
 
 module Float_field : S with type t = float = struct
@@ -70,6 +90,7 @@ module Float_field : S with type t = float = struct
   let neg x = -.x
   let abs = Float.abs
   let sign x = if x > eps then 1 else if x < -.eps then -1 else 0
+  let is_zero x = x = 0.0
   let pivot_tol = 1e-6
   let compare x y = sign (x -. y)
   let round x = int_of_float (Float.round x)
@@ -94,6 +115,38 @@ module Float_field : S with type t = float = struct
       acc := !acc +. (x.(i) *. y.(i))
     done;
     !acc
+
+  let axpy_at a x idx n y =
+    if a <> 0.0 then
+      for k = 0 to n - 1 do
+        let i = idx.(k) in
+        y.(i) <- y.(i) +. (a *. x.(i))
+      done
+
+  let scatter_sub y idx v a =
+    for k = 0 to Array.length idx - 1 do
+      let i = idx.(k) in
+      y.(i) <- y.(i) -. (v.(k) *. a)
+    done
+
+  let gather_sub acc idx v x =
+    let acc = ref acc in
+    for k = 0 to Array.length idx - 1 do
+      let xi = x.(idx.(k)) in
+      if xi > eps || xi < -.eps then acc := !acc -. (v.(k) *. xi)
+    done;
+    !acc
+
+  let drop_zeros x idx n =
+    let m = ref 0 in
+    for k = 0 to n - 1 do
+      let i = idx.(k) in
+      if x.(i) <> 0.0 then begin
+        idx.(!m) <- i;
+        incr m
+      end
+    done;
+    !m
 end
 
 module Rat_field : S with type t = Rat.t = struct
@@ -110,6 +163,7 @@ module Rat_field : S with type t = Rat.t = struct
   let neg = Rat.neg
   let abs = Rat.abs
   let sign = Rat.sign
+  let is_zero = Rat.is_zero
   let pivot_tol = Rat.zero
   let compare = Rat.compare
   let is_integral = Rat.is_integer
@@ -142,4 +196,36 @@ module Rat_field : S with type t = Rat.t = struct
       acc := Rat.add !acc (Rat.mul x.(i) y.(i))
     done;
     !acc
+
+  let axpy_at a x idx n y =
+    if not (Rat.is_zero a) then
+      for k = 0 to n - 1 do
+        let i = idx.(k) in
+        y.(i) <- Rat.add y.(i) (Rat.mul a x.(i))
+      done
+
+  let scatter_sub y idx v a =
+    for k = 0 to Array.length idx - 1 do
+      let i = idx.(k) in
+      y.(i) <- Rat.sub y.(i) (Rat.mul v.(k) a)
+    done
+
+  let gather_sub acc idx v x =
+    let acc = ref acc in
+    for k = 0 to Array.length idx - 1 do
+      let xi = x.(idx.(k)) in
+      if not (Rat.is_zero xi) then acc := Rat.sub !acc (Rat.mul v.(k) xi)
+    done;
+    !acc
+
+  let drop_zeros x idx n =
+    let m = ref 0 in
+    for k = 0 to n - 1 do
+      let i = idx.(k) in
+      if not (Rat.is_zero x.(i)) then begin
+        idx.(!m) <- i;
+        incr m
+      end
+    done;
+    !m
 end

@@ -78,25 +78,71 @@ type acc = {
 let fresh_acc () =
   { a_witnesses = 0.; a_encode = 0.; a_lint = 0.; a_prep = 0.; a_solve = 0.; a_questions = 0 }
 
+(* What the shared program's questions need beyond the engine, built once
+   with its prep: the responsibility base delta (Z = 0, every witness
+   indicator W = 1) translated into the presolved program — a question
+   then releases the indicators of its tuple's witnesses and fixes X_t, in
+   the already-translated space — and the tables that read tuples back
+   from a sparse answer. *)
+type shared_prep = {
+  rsp_base : Lp.Frozen.Delta.t;
+  rsp_conflicts : Lp.Model.var list;
+      (* raw base fixes contradicting a presolve-fixed value: a question is
+         infeasible unless it releases all of them *)
+  raw_of : int array;  (* presolved variable -> raw variable *)
+  forced : Lp.Model.var list;  (* raw tuple variables presolve fixed to 1 *)
+}
+
 (* Solver state over one frozen program: the presolved form (what per-domain
    engines are created from), the presolve witness, the submitter's own
-   warm engine, and the structural integrality certificate.  The certificate
-   is computed eagerly with the prep (NOT lazily: preps are shared across
-   the domains of a parallel ranking, and [Lazy.force] is not domain-safe);
-   its witnesses are delta-transferable, so one analysis covers every
+   warm engine, and the structural integrality certificate.  The
+   certificate and the shared-question tables are computed eagerly with the
+   prep (NOT lazily: preps are shared across the domains of a parallel
+   ranking, and [Lazy.force] is not domain-safe); the certificate's
+   witnesses are delta-transferable, so one analysis covers every
    delta-solve of the session. *)
 type prep = {
   pfz : Lp.Frozen.t;
   pvm : Lp.Presolve.vmap option;
   pengine : Lp.Solvers.Engine.t;
   pcert : Lp.Struct.t;
+  pshared : shared_prep option;  (* the session's shared program only *)
 }
+
+(* Where a raw variable went: renumbered into the presolved program or
+   fixed by presolve. *)
+let image vm v = match vm with Some vm -> Lp.Presolve.var_image vm v | None -> `Kept v
+
+(* The raw base delta's presolve translation, keeping the conflicting raw
+   variables instead of failing on the first (see [translate]). *)
+let translate_base vm delta =
+  List.fold_left
+    (fun (d, conflicts) (v, k) ->
+      match image vm v with
+      | `Kept j -> (Lp.Frozen.Delta.fix j k d, conflicts)
+      | `Fixed k' -> if k' = k then (d, conflicts) else (d, v :: conflicts))
+    (Lp.Frozen.Delta.empty, [])
+    (Lp.Frozen.Delta.bindings delta)
+
+(* [tid_of_var] maps a raw variable to its tuple, -1 for the others. *)
+let shared_prep_of ~rsp_base ~tid_of_var vm fz =
+  let rsp_base, rsp_conflicts = translate_base vm rsp_base in
+  let raw_of = Array.make (Lp.Frozen.num_vars fz) 0 in
+  let forced = ref [] in
+  for v = Array.length tid_of_var - 1 downto 0 do
+    match image vm v with
+    | `Kept j -> raw_of.(j) <- v
+    | `Fixed k -> if k > 0 && tid_of_var.(v) >= 0 then forced := v :: !forced
+  done;
+  { rsp_base; rsp_conflicts; raw_of; forced = !forced }
 
 (* Freeze + (optionally) presolve a model into a prep; [None] when presolve
    decides the program outright (the shared program is always feasible —
    delete everything, flag everything — and has non-negative costs, so a
-   verdict to the contrary is treated as "no contingency" defensively). *)
-let prep_of_model ~exact ~presolve ~kernel model =
+   verdict to the contrary is treated as "no contingency" defensively).
+   [shared] (the raw responsibility base delta and the variable -> tuple
+   table) marks the session's shared program. *)
+let prep_of_model ?shared ~exact ~presolve ~kernel model =
   let raw = Lp.Frozen.of_model model in
   let prepared =
     if presolve then
@@ -112,11 +158,19 @@ let prep_of_model ~exact ~presolve ~kernel model =
         pvm = vm;
         pengine = Lp.Solvers.Engine.create ~exact ~kernel fz;
         pcert = Obs.Trace.with_span "session.struct" (fun () -> Lp.Struct.analyze fz);
+        pshared =
+          Option.map
+            (fun (rsp_base, tid_of_var) -> shared_prep_of ~rsp_base ~tid_of_var vm fz)
+            shared;
       })
     prepared
 
 type core = {
   cshared : Encode.shared;
+  cwitnesses_of : (Database.tuple_id, Lp.Model.var list) Hashtbl.t;
+      (* tuple -> the indicators of the witnesses containing it, each once *)
+  crsp_base : Lp.Frozen.Delta.t;  (* raw: Z = 0 and every W = 1 *)
+  ctid_of_var : int array;  (* raw variable -> its tuple, -1 for the others *)
   cprep : prep option Lazy.t;
       (* presolve + engine, paid only if a shared-program solve happens —
          a dense-regime session that only ever ranks never forces this *)
@@ -124,6 +178,33 @@ type core = {
 }
 
 type state = Sfalse | Snone | Sactive of core
+
+(* What a per-tuple question reads, built once with the core: the index from
+   a tuple to the indicators of the witnesses containing it (each once,
+   even when a self-join witness holds the tuple twice), the raw
+   responsibility base delta (Z = 0, every W = 1), and the table from a raw
+   variable to its tuple. *)
+let question_tables (shared : Encode.shared) =
+  let witnesses_of = Hashtbl.create 64 in
+  List.iter
+    (fun (wv, set) ->
+      List.iter
+        (fun t ->
+          match Hashtbl.find_opt witnesses_of t with
+          | Some (w :: _) when w = wv -> ()
+          | Some ws -> Hashtbl.replace witnesses_of t (wv :: ws)
+          | None -> Hashtbl.replace witnesses_of t [ wv ])
+        set)
+    shared.Encode.switnesses;
+  let rsp_base =
+    List.fold_left
+      (fun d (wv, _) -> Lp.Frozen.Delta.force_one wv d)
+      (Lp.Frozen.Delta.fix_zero shared.Encode.sz Lp.Frozen.Delta.empty)
+      shared.Encode.switnesses
+  in
+  let tid_of_var = Array.make (Lp.Model.num_vars shared.Encode.smodel) (-1) in
+  List.iter (fun (v, tid) -> tid_of_var.(v) <- tid) shared.Encode.stuple_of_var;
+  (witnesses_of, rsp_base, tid_of_var)
 
 type t = {
   sdb : Database.t;
@@ -169,9 +250,13 @@ let create ?(exact = false) ?(presolve = true) ?(relaxation = Encode.Ilp) ?(basi
             if Lp.Frozen.num_rows raw > dense_rows_threshold then `Cold_per_tuple
             else `Shared_delta
           in
+          let witnesses_of, rsp_base, tid_of_var = question_tables shared in
           ( Sactive
               {
                 cshared = shared;
+                cwitnesses_of = witnesses_of;
+                crsp_base = rsp_base;
+                ctid_of_var = tid_of_var;
                 cprep =
                   (* Timed inside the thunk so the cost lands on whichever
                      question actually forces the shared prep. *)
@@ -179,7 +264,8 @@ let create ?(exact = false) ?(presolve = true) ?(relaxation = Encode.Ilp) ?(basi
                     (Obs.Trace.with_span "session.prep" (fun () ->
                          let t0 = Lp.Clock.now () in
                          let p =
-                           prep_of_model ~exact ~presolve ~kernel:basis shared.Encode.smodel
+                           prep_of_model ~shared:(rsp_base, tid_of_var) ~exact ~presolve
+                             ~kernel:basis shared.Encode.smodel
                          in
                          acc.a_prep <- acc.a_prep +. Lp.Clock.elapsed t0;
                          p));
@@ -217,19 +303,7 @@ let batch_strategy t = t.sstrategy
    value means the combination is infeasible (presolve only fixes what
    feasibility forces on this model family). *)
 let translate vm delta =
-  match vm with
-  | None -> Some delta
-  | Some vm ->
-    List.fold_left
-      (fun acc (v, k) ->
-        match acc with
-        | None -> None
-        | Some d -> (
-          match Lp.Presolve.var_image vm v with
-          | `Kept j -> Some (Lp.Frozen.Delta.fix j k d)
-          | `Fixed k' -> if k' = k then Some d else None))
-      (Some Lp.Frozen.Delta.empty)
-      (Lp.Frozen.Delta.bindings delta)
+  match translate_base vm delta with d, [] -> Some d | _, _ :: _ -> None
 
 (* Appended rows (the enumeration pin and no-good cuts are phrased against
    raw shared-model variables, like the bound fixes) are renumbered through
@@ -287,29 +361,81 @@ let lift_sol vm ~of_int sol =
   match vm with Some vm -> Lp.Presolve.lift vm ~of_int sol | None -> sol
 
 (* Witness indicators fixed to 1, counterfactual slack released. *)
-let res_delta core =
-  List.fold_left
-    (fun d (wv, _) -> Lp.Frozen.Delta.force_one wv d)
-    (Lp.Frozen.Delta.force_one core.cshared.Encode.sz Lp.Frozen.Delta.empty)
-    core.cshared.Encode.switnesses
+let res_delta core = Lp.Frozen.Delta.force_one core.cshared.Encode.sz core.crsp_base
 
-(* [None]: t appears in no witness. *)
+(* The raw responsibility delta: X_t = 0, Z = 0 and the indicator of every
+   witness avoiding t fixed to 1 — the base with t's witnesses released.
+   [None]: t appears in no witness. *)
 let rsp_delta core t =
-  let with_t, without_t =
-    List.partition (fun (_, set) -> List.mem t set) core.cshared.Encode.switnesses
-  in
-  if with_t = [] then None
-  else begin
-    let d = Lp.Frozen.Delta.fix_zero core.cshared.Encode.sz Lp.Frozen.Delta.empty in
-    let d =
+  Option.map
+    (fun ws ->
+      let d = List.fold_left (fun d wv -> Lp.Frozen.Delta.release wv d) core.crsp_base ws in
       match Hashtbl.find_opt core.cshared.Encode.svar_of_tuple t with
       | Some v -> Lp.Frozen.Delta.fix_zero v d
-      | None -> d (* exogenous tuple: it never had a decision variable *)
-    in
-    Some (List.fold_left (fun d (wv, _) -> Lp.Frozen.Delta.force_one wv d) d without_t)
-  end
+      | None -> d (* exogenous tuple: it never had a decision variable *))
+    (Hashtbl.find_opt core.cwitnesses_of t)
+
+(* The same delta built directly in the presolved program from the
+   translated base: O(deg t) map updates per question, where translating
+   [rsp_delta] would walk every witness. *)
+let rsp_question ~witnesses_of (shared : Encode.shared) ~base ~conflicts vm t =
+  match Hashtbl.find_opt witnesses_of t with
+  | None -> `No_witness
+  | Some ws ->
+    if not (List.for_all (fun v -> List.mem v ws) conflicts) then `Infeasible
+    else begin
+      let d =
+        List.fold_left
+          (fun d wv ->
+            match image vm wv with `Kept j -> Lp.Frozen.Delta.release j d | `Fixed _ -> d)
+          base ws
+      in
+      match Hashtbl.find_opt shared.Encode.svar_of_tuple t with
+      | None -> `Delta d
+      | Some v -> (
+        match image vm v with
+        | `Kept j -> `Delta (Lp.Frozen.Delta.fix_zero j d)
+        | `Fixed 0 -> `Delta d
+        | `Fixed _ -> `Infeasible)
+    end
 
 (* --- Solving -------------------------------------------------------------- *)
+
+(* An answer's solution, in the presolved program: the relaxation's sparse
+   read-out together with the delta it solved (certified answers), or a
+   branch-and-bound incumbent. *)
+type solution = Sparse of Lp.Frozen.Delta.t * Lp.Solvers.Engine.relaxation | Dense of float array
+
+(* The full solution over the raw program's variables. *)
+let dense_solution prep = function
+  | Dense x -> lift_sol prep.pvm ~of_int:float_of_int x
+  | Sparse (d, r) ->
+    lift_sol prep.pvm ~of_int:float_of_int
+      (Lp.Solvers.Float_simplex.point ~nvars:(Lp.Frozen.num_vars prep.pfz) d
+         r.Lp.Solvers.Float_bb.support r.Lp.Solvers.Float_bb.values)
+
+(* The deleted tuples (value > 0.5) in raw-variable order.  A sparse answer
+   is read from its support, the delta's positive fixes and presolve's
+   forced deletions, never touching the variables at zero. *)
+let read_tuples core prep sol =
+  match (sol, prep.pshared) with
+  | Sparse (d, r), Some sp ->
+    let values = r.Lp.Solvers.Float_bb.values in
+    let deleted = ref sp.forced in
+    let note j =
+      let v = sp.raw_of.(j) in
+      if core.ctid_of_var.(v) >= 0 then deleted := v :: !deleted
+    in
+    Lp.Frozen.Delta.iter_fixes (fun j k -> if k > 0 then note j) d;
+    Array.iteri (fun k j -> if values.(k) > 0.5 then note j) r.Lp.Solvers.Float_bb.support;
+    let deleted = Array.of_list !deleted in
+    Array.sort compare deleted;
+    Array.fold_right (fun v acc -> core.ctid_of_var.(v) :: acc) deleted []
+  | _ ->
+    let x = dense_solution prep sol in
+    List.filter_map
+      (fun (v, tid) -> if x.(v) > 0.5 then Some tid else None)
+      core.cshared.Encode.stuple_of_var
 
 (* Certificate-aware dispatch + branch-and-bound under the delta against
    [engine] — the submitter's warm engine on the sequential paths, a
@@ -327,11 +453,11 @@ let rsp_delta core t =
    before, warm-started from the relaxation's final basis (the root
    re-solve costs a handful of pivots), so hard instances pay essentially
    nothing for the probe. *)
-let run_engine_raw ?node_limit ?time_limit prep engine delta =
+let run_engine_raw ?node_limit ?time_limit prep engine translated =
   let t0 = Lp.Clock.now () in
-  match translate_full prep.pvm delta with
+  match translated with
   | None -> `Infeasible
-  | Some d ->
+  | Some d -> (
     let foffset = float_of_int (offset_of prep.pvm) in
     let finish ?(certified = false) nodes root_lp root_integral pivots refactors objective
         solution =
@@ -345,22 +471,27 @@ let run_engine_raw ?node_limit ?time_limit prep engine delta =
         { nodes; root_lp; root_integral; certified; solve_time; prep_time = 0.; pivots; refactors }
       )
     in
-    let lift x = lift_sol prep.pvm ~of_int:float_of_int x in
     match Lp.Solvers.Engine.relax ~delta:d engine with
-    | `Optimal (obj, x, true) ->
-      `Ok (finish ~certified:true 0 (obj +. foffset) true 0 0 (obj +. foffset) (lift x))
-    | `Optimal _ | `Infeasible -> (
+    | `Optimal r, work when r.Lp.Solvers.Float_bb.integral ->
+      let obj = r.Lp.Solvers.Float_bb.objective +. foffset in
+      `Ok
+        (finish ~certified:true 0 obj true work.Lp.Branch_bound.pivots
+           work.Lp.Branch_bound.refactors obj (Sparse (d, r)))
+    | (`Optimal _ | `Infeasible), work -> (
       let r = Lp.Solvers.Engine.solve ?node_limit ?time_limit ~delta:d engine in
       let root = match r.root_objective with Some o -> o +. foffset | None -> nan in
+      (* The question's simplex work: the relaxation probe plus the tree. *)
+      let pivots = work.Lp.Branch_bound.pivots + r.pivots in
+      let refactors = work.Lp.Branch_bound.refactors + r.refactors in
       match r.status with
       | Optimal ->
         `Ok
-          (finish r.nodes root r.root_integral r.pivots r.refactors
+          (finish r.nodes root r.root_integral pivots refactors
              (Option.get r.objective +. foffset)
-             (lift (Option.get r.solution)))
+             (Dense (Option.get r.solution)))
       | Infeasible -> `Infeasible
       | Feasible -> `Budget (Option.map (fun o -> o +. foffset) r.objective)
-      | Limit_no_solution -> `Budget None)
+      | Limit_no_solution -> `Budget None))
 
 (* One run-log line: the solved program's structural feature vector, the
    dispatch path taken, and the outcome, versioned by the run-log
@@ -425,11 +556,6 @@ let run_engine ?node_limit ?time_limit ?(op = "solve") prep engine delta =
     r
   end
 
-let read_tuples core sol =
-  List.filter_map
-    (fun (v, tid) -> if sol.(v) > 0.5 then Some tid else None)
-    core.cshared.Encode.stuple_of_var
-
 let round_value x = int_of_float (Float.round x)
 
 (* Submitter-side profile accounting.  Worker domains never touch the
@@ -449,12 +575,15 @@ let resilience_body ?node_limit ?time_limit t =
     match Lazy.force core.cprep with
     | None -> No_contingency
     | Some prep -> (
-      match run_engine ?node_limit ?time_limit ~op:"resilience" prep prep.pengine (res_delta core) with
+      match
+        run_engine ?node_limit ?time_limit ~op:"resilience" prep prep.pengine
+          (translate_full prep.pvm (res_delta core))
+      with
       | `Infeasible -> No_contingency
       | `Budget incumbent -> Budget_exhausted (Option.map round_value incumbent)
       | `Ok (obj, sol, st) ->
         Solved
-          { res_value = round_value obj; contingency = read_tuples core sol; res_stats = st }))
+          { res_value = round_value obj; contingency = read_tuples core prep sol; res_stats = st }))
 
 let resilience ?node_limit ?time_limit t =
   note_question t;
@@ -466,19 +595,28 @@ let resilience ?node_limit ?time_limit t =
 
 (* The shared-program responsibility delta-solve. *)
 let rsp_shared ?node_limit ?time_limit core prep engine tid =
-  match rsp_delta core tid with
-  | None -> No_contingency
-  | Some delta -> (
-    match run_engine ?node_limit ?time_limit ~op:"responsibility" prep engine delta with
+  let solve translated =
+    match run_engine ?node_limit ?time_limit ~op:"responsibility" prep engine translated with
     | `Infeasible -> No_contingency
     | `Budget incumbent -> Budget_exhausted (Option.map round_value incumbent)
     | `Ok (obj, sol, st) ->
       Solved
         {
           rsp_value = round_value obj;
-          responsibility_set = read_tuples core sol;
+          responsibility_set = read_tuples core prep sol;
           rsp_stats = st;
-        })
+        }
+  in
+  match prep.pshared with
+  | None -> No_contingency
+  | Some sp -> (
+    match
+      rsp_question ~witnesses_of:core.cwitnesses_of core.cshared ~base:sp.rsp_base
+        ~conflicts:sp.rsp_conflicts prep.pvm tid
+    with
+    | `No_witness -> No_contingency
+    | `Infeasible -> solve None
+    | `Delta d -> solve (Some d))
 
 let solve_model ?node_limit ?time_limit ~op ~exact ~presolve ~kernel ~since model =
   match prep_of_model ~exact ~presolve ~kernel model with
@@ -488,8 +626,8 @@ let solve_model ?node_limit ?time_limit ~op ~exact ~presolve ~kernel ~since mode
        whatever the caller did since [since] — is preparation, not solving;
        stats keep the two apart. *)
     let prep_time = Lp.Clock.elapsed since in
-    match run_engine ?node_limit ?time_limit ~op prep prep.pengine Lp.Frozen.Delta.empty with
-    | `Ok (obj, sol, st) -> `Ok (obj, sol, { st with prep_time })
+    match run_engine ?node_limit ?time_limit ~op prep prep.pengine (Some Lp.Frozen.Delta.empty) with
+    | `Ok (obj, sol, st) -> `Ok (obj, dense_solution prep sol, { st with prep_time })
     | (`Infeasible | `Budget _) as r -> r)
 
 (* The cold per-tuple path the dense regime falls back to: a fresh
@@ -522,7 +660,7 @@ let responsibility_body ?node_limit ?time_limit t tid =
     | `Cold_per_tuple ->
       (* Skip tuples outside every witness without an encode, as the shared
          path does. *)
-      if rsp_delta core tid = None then No_contingency
+      if not (Hashtbl.mem core.cwitnesses_of tid) then No_contingency
       else cold_responsibility ?node_limit ?time_limit t tid
     | `Shared_delta -> (
       match Lazy.force core.cprep with
@@ -641,11 +779,14 @@ let enum_run ?node_limit core prep engine time_left delta =
   let time_limit =
     match time_left with Some l -> Some (Float.max l 0.) | None -> None
   in
-  match run_engine ?node_limit ?time_limit ~op:"enumerate" prep engine delta with
+  match
+    run_engine ?node_limit ?time_limit ~op:"enumerate" prep engine
+      (translate_full prep.pvm delta)
+  with
   | `Infeasible -> `Infeasible
   | `Budget _ -> `Budget
   | `Ok (obj, sol, st) ->
-    `Ok (round_value obj, read_tuples core sol, (st.nodes, st.pivots, st.refactors))
+    `Ok (round_value obj, read_tuples core prep sol, (st.nodes, st.pivots, st.refactors))
 
 let var_of_tuple core tid = Hashtbl.find_opt core.cshared.Encode.svar_of_tuple tid
 
@@ -793,11 +934,11 @@ let relax_run core prep delta =
   | None -> None
   | Some d ->
     match Lp.Solvers.Engine.relax ~delta:d prep.pengine with
-    | `Optimal (obj, sol, _) ->
+    | `Optimal r, _ ->
       Some
-        ( obj +. float_of_int (offset_of prep.pvm),
-          read_values core (lift_sol prep.pvm ~of_int:float_of_int sol) )
-    | `Infeasible -> None
+        ( r.Lp.Solvers.Float_bb.objective +. float_of_int (offset_of prep.pvm),
+          read_values core (dense_solution prep (Sparse (d, r))) )
+    | `Infeasible, _ -> None
 
 let resilience_solution t =
   match t.state with
@@ -817,9 +958,9 @@ let responsibility_solution t tid =
       match rsp_delta core tid with
       | None -> None
       | Some delta -> (
-        match run_engine ~op:"solution" prep prep.pengine delta with
+        match run_engine ~op:"solution" prep prep.pengine (translate_full prep.pvm delta) with
         | `Infeasible | `Budget _ -> None
-        | `Ok (obj, sol, _) -> Some (obj, read_values core sol))))
+        | `Ok (obj, sol, _) -> Some (obj, read_values core (dense_solution prep sol)))))
 
 let diagnostics t =
   match t.state with Sfalse | Snone -> [] | Sactive core -> Lazy.force core.cdiags
@@ -833,3 +974,8 @@ let profile t =
     solve_s = t.sacc.a_solve;
     questions = t.sacc.a_questions;
   }
+
+let responsibility_delta shared vm t =
+  let witnesses_of, rsp_base, _ = question_tables shared in
+  let base, conflicts = translate_base vm rsp_base in
+  rsp_question ~witnesses_of shared ~base ~conflicts vm t

@@ -241,3 +241,18 @@ val solve_model :
     [prep_time] in the stats runs from [since] (an {!Lp.Clock.now} reading)
     to the start of the solve, so callers fold their own encoding into it.
     Every outcome appends one {!Obs.Runlog} record tagged [op]. *)
+
+val responsibility_delta :
+  Encode.shared ->
+  Lp.Presolve.vmap option ->
+  Database.tuple_id ->
+  [ `No_witness | `Infeasible | `Delta of Lp.Frozen.Delta.t ]
+(** The bound overlay the shared-delta path solves for RSP*(t), in the
+    program [vm] presolves the shared one into ([None]: not presolved): the
+    responsibility base — Z = 0 and every witness indicator W = 1,
+    translated once — with the indicators of t's witnesses released and
+    X[t] fixed to 0.  [`No_witness] when t is in no witness, [`Infeasible]
+    when a fix contradicts a value presolve fixed.  A session builds the
+    tuple -> witness index and the translated base once and reuses them
+    for every question; this entry point rebuilds them per call, for
+    differential tests against the whole-witness construction. *)

@@ -65,14 +65,19 @@ let lp_optimum ~exact ~presolve (enc : Encode.encoding) =
   in
   Option.bind prepared (fun (fz, vm) ->
       match Lp.Solvers.Engine.relax (Lp.Solvers.Engine.create ~exact fz) with
-      | `Optimal (obj, x, _) ->
+      | `Optimal r, _ ->
+        let obj = r.Lp.Solvers.Float_bb.objective in
+        let x =
+          Lp.Solvers.Float_simplex.point ~nvars:(Lp.Frozen.num_vars fz) Lp.Frozen.Delta.empty
+            r.Lp.Solvers.Float_bb.support r.Lp.Solvers.Float_bb.values
+        in
         let offset, sol =
           match vm with
           | Some vm -> (Lp.Presolve.obj_offset vm, Lp.Presolve.lift vm ~of_int:float_of_int x)
           | None -> (0, x)
         in
         Some (obj +. float_of_int offset, sol)
-      | `Infeasible -> None)
+      | `Infeasible, _ -> None)
 
 let resilience_lp_solution ?(exact = false) ?(presolve = true) semantics q db =
   match Encode.res Encode.Lp semantics q db with

@@ -190,6 +190,141 @@ let prop_solution_feasible =
       | Some x -> M.check_feasible m x
       | None -> true)
 
+(* --- Warm delta chains ----------------------------------------------------- *)
+
+(* One warm session walks a random chain of deltas that fix, release and
+   re-fix columns — a few bindings at a time, the whole model at once, and
+   columns the previous optimum holds strictly inside their bounds (so they
+   are basic) — and must agree at every step with a fresh solve of the same
+   delta.  The warm side reads out sparsely, so each step also rebuilds the
+   full point from the support plus the delta's fixes and checks it. *)
+
+let chain_model rng =
+  let m = M.create () in
+  let nvars = 4 + Random.State.int rng 7 in
+  let vars =
+    Array.init nvars (fun _ ->
+        let upper = match Random.State.int rng 4 with 0 -> None | k -> Some k in
+        M.add_var ?upper ~obj:(Random.State.int rng 6) m)
+  in
+  for _ = 1 to 3 + Random.State.int rng 6 do
+    let width = 1 + Random.State.int rng 4 in
+    let expr =
+      List.sort_uniq compare
+        (List.init width (fun _ -> (vars.(Random.State.int rng nvars), 1 + Random.State.int rng 3)))
+      |> List.sort_uniq (fun (a, _) (b, _) -> compare a b)
+    in
+    match Random.State.int rng 5 with
+    | 0 -> M.add_constr m expr M.Leq (1 + Random.State.int rng 6)
+    | 1 -> M.add_constr m expr M.Eq (Random.State.int rng 4)
+    | _ -> M.add_constr m expr M.Geq (1 + Random.State.int rng 4)
+  done;
+  frz m
+
+(* A fix value within the column's base bounds (now and then one above
+   them, which makes the delta infeasible without a solve). *)
+let fix_value rng fz v =
+  let cap = Option.value ~default:2 (Lp.Frozen.upper fz v) in
+  if Random.State.int rng 20 = 0 then cap + 1 else Random.State.int rng (cap + 1)
+
+(* The chain is drawn against float warm solves, then replayed at every
+   field and kernel. *)
+let random_chain rng fz =
+  let nvars = Lp.Frozen.num_vars fz in
+  let warm = FS.create_session fz in
+  let last = ref None in
+  let step d =
+    let d =
+      match Random.State.int rng 4 with
+      | 0 ->
+        (* the whole model: every column fixed or released *)
+        let d = ref d in
+        for v = 0 to nvars - 1 do
+          d :=
+            if Random.State.bool rng then Lp.Frozen.Delta.fix v (fix_value rng fz v) !d
+            else Lp.Frozen.Delta.release v !d
+        done;
+        !d
+      | 1 ->
+        (* 1-5 bindings: fix, re-fix or release *)
+        let d = ref d in
+        for _ = 1 to 1 + Random.State.int rng 5 do
+          let v = Random.State.int rng nvars in
+          d :=
+            if Random.State.int rng 3 = 0 then Lp.Frozen.Delta.release v !d
+            else Lp.Frozen.Delta.fix v (fix_value rng fz v) !d
+        done;
+        !d
+      | 2 -> (
+        (* a column the last optimum holds strictly inside its bounds *)
+        let inside x v =
+          x.(v) > 1e-6
+          && match Lp.Frozen.upper fz v with Some u -> x.(v) < float_of_int u -. 1e-6 | None -> true
+        in
+        match !last with
+        | Some x -> (
+          match List.filter (inside x) (List.init nvars Fun.id) with
+          | [] -> d
+          | basic ->
+            let v = List.nth basic (Random.State.int rng (List.length basic)) in
+            Lp.Frozen.Delta.fix v (if Random.State.bool rng then 0 else 1) d)
+        | None -> d)
+      | _ -> (
+        (* release every fix on a few columns *)
+        match Lp.Frozen.Delta.bindings d with
+        | [] -> d
+        | bs ->
+          List.fold_left
+            (fun d (v, _) -> if Random.State.bool rng then Lp.Frozen.Delta.release v d else d)
+            d bs)
+    in
+    (last := match FS.session_solve warm d with FS.Optimal { solution; _ } -> Some solution | FS.Infeasible -> None);
+    d
+  in
+  let rec go i d acc = if i = 0 then List.rev acc else let d = step d in go (i - 1) d (d :: acc) in
+  go (8 + Random.State.int rng 20) Lp.Frozen.Delta.empty []
+
+module Warm_chain (F : Numeric.Field.S) = struct
+  module S = Lp.Simplex.Make (F)
+
+  (* The full point of a sparse read-out: the delta's fixes plus the
+     support, zero elsewhere. *)
+  let point fz delta support values =
+    let x = Array.make (Lp.Frozen.num_vars fz) F.zero in
+    Lp.Frozen.Delta.iter_fixes (fun v k -> x.(v) <- F.of_int k) delta;
+    Array.iteri (fun k v -> x.(v) <- values.(k)) support;
+    x
+
+  let agrees ~same fz kernel deltas =
+    let warm = S.create_session ~kernel fz in
+    List.for_all
+      (fun delta ->
+        match (S.session_solve_sparse warm delta, S.solve_frozen ~delta ~kernel fz) with
+        | S.Sparse_infeasible, S.Infeasible -> true
+        | S.Sparse_optimal { objective; support; values; integral = _ }, S.Optimal cold ->
+          let x = point fz delta support values in
+          let cx = ref F.zero in
+          Array.iteri (fun v xv -> cx := F.add !cx (F.mul (F.of_int (Lp.Frozen.objective fz v)) xv)) x;
+          same objective cold.objective && same objective !cx
+          && Lp.Frozen.check_feasible ~delta fz (Array.map F.to_float x)
+        | _ -> false)
+      deltas
+end
+
+module Float_chain = Warm_chain (Numeric.Field.Float_field)
+module Exact_chain = Warm_chain (Numeric.Field.Rat_field)
+
+let prop_warm_chain =
+  Harness.seeded_prop ~count:200
+    "warm release chains = fresh solve per delta (both fields, both kernels)" (fun rng ->
+      let fz = chain_model rng in
+      let chain = random_chain rng fz in
+      List.for_all
+        (fun kernel ->
+          Float_chain.agrees ~same:(fun a b -> Float.abs (a -. b) <= 1e-7) fz kernel chain
+          && Exact_chain.agrees ~same:Numeric.Rat.equal fz kernel chain)
+        [ `Dense; `Sparse ])
+
 (* --- Branch and bound ------------------------------------------------------ *)
 
 let triangle_vc () =
@@ -290,6 +425,7 @@ let () =
           Alcotest.test_case "fractional covering" `Quick test_fractional_covering;
           q prop_float_exact_agree;
           q prop_solution_feasible;
+          q prop_warm_chain;
         ] );
       ( "branch_bound",
         [

@@ -95,41 +95,6 @@ let par_qcheck_cases =
       ranking_par_cold_agrees;
   ]
 
-(* Parallel branch-and-bound: random frozen covering programs (from the
-   shared Harness generator), optimum value and status must match the
-   sequential session solve for every pool size and frontier depth. *)
-let bb_configs = [ (1, 3); (2, 0); (2, 2); (4, 3) ]
-
-module Par_agrees (F : Numeric.Field.S) = struct
-  module B = Lp.Branch_bound.Make (F)
-
-  let agrees fz =
-    let seq = B.solve_session (B.create_session fz) in
-    List.for_all
-      (fun (jobs, par_depth) ->
-        Lp.Pool.with_pool ~jobs (fun pool ->
-            let par = B.solve_session_par ~par_depth ~pool (B.create_session fz) in
-            par.status = seq.status && par.objective = seq.objective))
-      bb_configs
-end
-
-module Float_par = Par_agrees (Numeric.Field.Float_field)
-module Exact_par = Par_agrees (Numeric.Field.Rat_field)
-
-let bb_par_agrees ~exact rng =
-  let nvars = 4 + Random.State.int rng 6 in
-  let nrows = 3 + Random.State.int rng 6 in
-  let fz, _ = Harness.random_covering_frozen rng ~nvars ~nrows in
-  (if exact then Exact_par.agrees else Float_par.agrees) fz
-
-let bb_par_qcheck =
-  [
-    Harness.seeded_prop ~count:120 "parallel B&B optimum = sequential (float)"
-      (bb_par_agrees ~exact:false);
-    Harness.seeded_prop ~count:60 "parallel B&B optimum = sequential (exact)"
-      (bb_par_agrees ~exact:true);
-  ]
-
 (* --- Dense-regime fallback -------------------------------------------------- *)
 
 (* The strategy decision is pinned on two fixtures: a sparse chain instance
@@ -275,6 +240,145 @@ let warm_qcheck =
   Harness.seeded_prop ~count:300 "warm session = cold session on random delta sequences"
     warm_equals_cold
 
+(* --- Indexed responsibility deltas ------------------------------------------ *)
+
+(* The reference: the responsibility delta built from the whole witness
+   list — partition every witness by membership of t, fix X[t], Z and the
+   indicator of every witness avoiding t, then translate the raw delta
+   through presolve (a fix contradicting a presolve-fixed value makes the
+   question infeasible). *)
+let reference_rsp_delta (shared : Encode.shared) vm t =
+  let open Lp.Frozen.Delta in
+  let with_t, without_t =
+    List.partition (fun (_, set) -> List.mem t set) shared.Encode.switnesses
+  in
+  if with_t = [] then `No_witness
+  else begin
+    let d = fix_zero shared.Encode.sz empty in
+    let d =
+      match Hashtbl.find_opt shared.Encode.svar_of_tuple t with
+      | Some v -> fix_zero v d
+      | None -> d
+    in
+    let d = List.fold_left (fun d (wv, _) -> force_one wv d) d without_t in
+    let image v = match vm with Some vm -> Lp.Presolve.var_image vm v | None -> `Kept v in
+    let translated =
+      List.fold_left
+        (fun acc (v, k) ->
+          match (acc, image v) with
+          | None, _ -> None
+          | Some d, `Kept j -> Some (fix j k d)
+          | Some d, `Fixed k' -> if k' = k then Some d else None)
+        (Some empty) (bindings d)
+    in
+    match translated with None -> `Infeasible | Some d -> `Delta d
+  end
+
+let same_question a b =
+  match (a, b) with
+  | `No_witness, `No_witness | `Infeasible, `Infeasible -> true
+  | `Delta x, `Delta y -> Lp.Frozen.Delta.bindings x = Lp.Frozen.Delta.bindings y
+  | _ -> false
+
+(* Every tuple of the database (exogenous ones and tuples outside every
+   witness included), against the raw program and its presolved form.
+   [constrain] may add rows to the shared model before it is presolved. *)
+let indexed_matches ?(constrain = fun _ -> ()) sem q db =
+  match Encode.shared_of_witnesses Encode.Ilp sem q db (Eval.witnesses q db) with
+  | Encode.Shared_trivial | Encode.Shared_impossible -> true
+  | Encode.Shared shared ->
+    constrain shared;
+    let presolved =
+      match Lp.Presolve.presolve (Lp.Frozen.of_model shared.Encode.smodel) with
+      | Lp.Presolve.Reduced (_, vm) -> [ Some vm ]
+      | Lp.Presolve.Infeasible | Lp.Presolve.Unbounded -> []
+    in
+    List.for_all
+      (fun vm ->
+        List.for_all
+          (fun info ->
+            let t = info.Database.id in
+            same_question (Session.responsibility_delta shared vm t) (reference_rsp_delta shared vm t))
+          (Database.tuples db))
+      (None :: presolved)
+
+let indexed_qcheck =
+  Harness.seeded_prop ~count:200 "indexed RSP delta = whole-witness construction (random)"
+    (fun rng ->
+      let sem, q, db = Harness.random_case rng in
+      indexed_matches sem q db)
+
+let test_indexed_self_join () =
+  (* R(1,1) joins with itself: the witness x = y = z = 1 holds the tuple
+     twice. *)
+  let db = Database.create () in
+  let loop = Database.add db "R" [| 1; 1 |] in
+  ignore (Database.add db "R" [| 1; 2 |]);
+  ignore (Database.add db "R" [| 2; 3 |]);
+  ignore (Database.add db "R" [| 3; 3 |]);
+  let q = Harness.parse_into db "R(x, y), R(y, z)" in
+  Alcotest.(check bool) "a witness holds the loop tuple twice" true
+    (List.exists
+       (fun w ->
+         List.length (List.filter (( = ) loop) (Array.to_list w.Eval.tuples)) = 2)
+       (Eval.witnesses q db));
+  Alcotest.(check bool) "set semantics" true (indexed_matches Problem.Set q db);
+  Alcotest.(check bool) "bag semantics" true (indexed_matches Problem.Bag q db)
+
+let test_indexed_exogenous () =
+  let db = dense_db () in
+  let q = Queries.q2_chain () in
+  List.iteri
+    (fun i info -> if i mod 7 = 0 then Database.set_exo db info.Database.id true)
+    (Database.tuples db);
+  Alcotest.(check bool) "exogenous tuples included" true (indexed_matches Problem.Set q db)
+
+let test_indexed_presolve_fixed () =
+  (* Extra singleton rows pin two witness indicators before presolve: one
+     to 0, contradicting the responsibility base (so only the tuples of
+     its witness keep a feasible question), one to 1. *)
+  let rng = Harness.rng_of 42 in
+  let q = Queries.q2_chain () in
+  let db =
+    Datagen.Random_inst.db rng ~domain:20 (Datagen.Random_inst.specs_of_query q ~count:12)
+  in
+  let pinned = ref [] in
+  let constrain (shared : Encode.shared) =
+    match shared.Encode.switnesses with
+    | (w0, _) :: (w1, _) :: _ ->
+      Lp.Model.add_constr shared.Encode.smodel [ (w0, 1) ] Lp.Model.Leq 0;
+      Lp.Model.add_constr shared.Encode.smodel [ (w1, 1) ] Lp.Model.Geq 1;
+      pinned :=
+        (match Lp.Presolve.presolve (Lp.Frozen.of_model shared.Encode.smodel) with
+        | Lp.Presolve.Reduced (_, vm) ->
+          [ Lp.Presolve.var_image vm w0; Lp.Presolve.var_image vm w1 ]
+        | Lp.Presolve.Infeasible | Lp.Presolve.Unbounded -> [])
+    | _ -> ()
+  in
+  Alcotest.(check bool) "indexed = reference" true (indexed_matches ~constrain Problem.Set q db);
+  Alcotest.(check bool) "presolve fixed both indicators" true
+    (!pinned = [ `Fixed 0; `Fixed 1 ])
+
+(* Certificate-settled questions report the pivots their warm relaxation
+   spent (they used to report zero). *)
+let test_certified_pivots () =
+  let rng = Harness.rng_of 42 in
+  let q = Queries.q2_chain () in
+  let db =
+    Datagen.Random_inst.db rng ~domain:80 (Datagen.Random_inst.specs_of_query q ~count:40)
+  in
+  let session = Session.create Problem.Set q db in
+  let stats =
+    List.filter_map
+      (fun info ->
+        match Session.responsibility session info.Database.id with
+        | Session.Solved a -> Some a.Session.rsp_stats
+        | Session.Query_false | Session.No_contingency | Session.Budget_exhausted _ -> None)
+      (Database.tuples db)
+  in
+  Alcotest.(check bool) "a warm certified question pivots and says so" true
+    (List.exists (fun st -> st.Session.certified && st.Session.nodes = 0 && st.Session.pivots > 0) stats)
+
 (* --- Edge cases ------------------------------------------------------------ *)
 
 let test_exogenous_skipped () =
@@ -326,6 +430,14 @@ let () =
         [
           test_case "warm vs cold, per delta kind" `Quick test_warm_vs_cold_deltas;
           Harness.qtest warm_qcheck;
+          test_case "certified questions report their pivots" `Quick test_certified_pivots;
+        ] );
+      ( "indexed-deltas",
+        [
+          Harness.qtest indexed_qcheck;
+          test_case "self-join witness holding a tuple twice" `Quick test_indexed_self_join;
+          test_case "exogenous tuples" `Quick test_indexed_exogenous;
+          test_case "presolve-fixed indicators" `Quick test_indexed_presolve_fixed;
         ] );
       ( "edge-cases",
         [
@@ -340,5 +452,5 @@ let () =
           test_case "both strategies rank identically" `Quick test_strategies_agree;
         ] );
       ("differential", Harness.qtests qcheck_cases);
-      ("parallel", Harness.qtests (par_qcheck_cases @ bb_par_qcheck));
+      ("parallel", Harness.qtests par_qcheck_cases);
     ]
